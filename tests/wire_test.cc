@@ -1,6 +1,7 @@
 // The wire contract (server/wire.h + common/json.h): golden serialized
 // forms for every spec variant, lossless round trips (doubles, uint64
 // seeds, escaped strings), and strict rejection of malformed input.
+// Also the shard wire's itemset payloads (shard/wire.h), byte for byte.
 #include "server/wire.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <limits>
 
 #include "common/json.h"
+#include "shard/wire.h"
 #include "test_util.h"
 
 namespace privbasis::server {
@@ -366,6 +368,60 @@ TEST(WireStatusTest, ErrorBodyAndHttpMapping) {
   EXPECT_EQ(HttpStatusForCode(StatusCode::kNotFound), 404);
   EXPECT_EQ(HttpStatusForCode(StatusCode::kBudgetExhausted), 429);
   EXPECT_EQ(HttpStatusForCode(StatusCode::kInternal), 500);
+}
+
+// --- shard wire itemset payloads ------------------------------------------
+
+/// Itemsets of sizes 0, 1, 4, 5 and 12: both sides of any small-set
+/// storage boundary.
+std::vector<Itemset> BoundaryItemsets() {
+  return {Itemset{},
+          Itemset{7},
+          Itemset{1, 2, 3, 0xfffffffe},
+          Itemset{9, 8, 7, 6, 5},
+          Itemset{100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110,
+                  0x01020304}};
+}
+
+/// The shared layout of both payloads: u32 count, then per set a u32
+/// length and its items, all little-endian.
+const char* const kBoundaryPayloadHex =
+    "0500000000000000010000000700000004000000010000000200000003000000"
+    "feffffff0500000005000000060000000700000008000000090000000c000000"
+    "6400000065000000660000006700000068000000690000006a0000006b000000"
+    "6c0000006d0000006e00000004030201";
+
+std::string Hex(std::string_view bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+TEST(ShardWireTest, ItemsetPayloadGoldenBytes) {
+  const std::vector<Itemset> sets = BoundaryItemsets();
+  const std::string payload = shardwire::EncodeItemsets(sets);
+  EXPECT_EQ(Hex(payload), kBoundaryPayloadHex);
+  shardwire::Reader reader(payload);
+  auto decoded = shardwire::DecodeItemsets(reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, sets);
+  EXPECT_TRUE(reader.ExpectEnd().ok());
+}
+
+TEST(ShardWireTest, BasisSetPayloadGoldenBytes) {
+  const BasisSet basis_set(BoundaryItemsets());
+  const std::string payload = shardwire::EncodeBasisSet(basis_set);
+  EXPECT_EQ(Hex(payload), kBoundaryPayloadHex);
+  shardwire::Reader reader(payload);
+  auto decoded = shardwire::DecodeBasisSet(reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->bases(), basis_set.bases());
+  EXPECT_TRUE(reader.ExpectEnd().ok());
 }
 
 }  // namespace
