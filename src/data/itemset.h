@@ -4,6 +4,7 @@
 #ifndef PRIVBASIS_DATA_ITEMSET_H_
 #define PRIVBASIS_DATA_ITEMSET_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -17,28 +18,39 @@ namespace privbasis {
 /// Dense item identifier. Datasets remap raw ids to [0, |I|).
 using Item = uint32_t;
 
-/// A set of items stored as a sorted, duplicate-free vector. Small (top-k
-/// itemsets rarely exceed a dozen items), so contiguous storage beats any
-/// tree/hash representation.
+/// A set of items stored as a sorted, duplicate-free array. Small (top-k
+/// itemsets rarely exceed a dozen items, most hold one to three), so the
+/// array is contiguous and, up to kInlineItems, lives inside the object
+/// itself: a 24-byte value with no heap allocation. Longer sets keep one
+/// exactly-sized heap array.
 class Itemset {
  public:
+  /// Items held without a heap allocation.
+  static constexpr size_t kInlineItems = 4;
+
   Itemset() = default;
 
   /// Builds from arbitrary items; sorts and deduplicates.
   explicit Itemset(std::vector<Item> items);
   Itemset(std::initializer_list<Item> items);
 
-  /// Wraps a vector the caller guarantees is sorted and duplicate-free
-  /// (checked in debug builds). O(1).
-  static Itemset FromSorted(std::vector<Item> sorted_items);
+  /// Copies items the caller guarantees are sorted and duplicate-free
+  /// (checked in debug builds).
+  static Itemset FromSorted(std::span<const Item> sorted_items);
 
-  size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-  Item operator[](size_t i) const { return items_[i]; }
+  Itemset(const Itemset& other);
+  Itemset(Itemset&& other) noexcept;
+  Itemset& operator=(const Itemset& other);
+  Itemset& operator=(Itemset&& other) noexcept;
+  ~Itemset() { Release(); }
 
-  std::vector<Item>::const_iterator begin() const { return items_.begin(); }
-  std::vector<Item>::const_iterator end() const { return items_.end(); }
-  const std::vector<Item>& items() const { return items_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  Item operator[](size_t i) const { return data()[i]; }
+
+  const Item* begin() const { return data(); }
+  const Item* end() const { return data() + size_; }
+  std::span<const Item> items() const { return {data(), size_}; }
 
   /// Membership test. O(log n).
   bool Contains(Item item) const;
@@ -56,15 +68,30 @@ class Itemset {
   Itemset With(Item item) const;
 
   /// Lexicographic comparison on the sorted item sequence.
-  auto operator<=>(const Itemset& other) const = default;
-  bool operator==(const Itemset& other) const = default;
+  std::strong_ordering operator<=>(const Itemset& other) const;
+  bool operator==(const Itemset& other) const;
 
   /// "{3, 17, 42}".
   std::string ToString() const;
 
  private:
-  std::vector<Item> items_;
+  const Item* data() const { return size_ <= kInlineItems ? inline_ : heap_; }
+  /// Sets the size to `n` and returns the storage to fill; the object
+  /// must hold no heap array.
+  Item* Allocate(size_t n);
+  /// Moves `other`'s items (or its heap array) here and empties it; this
+  /// object must hold no heap array.
+  void TakeFrom(Itemset& other) noexcept;
+  void Release();
+
+  uint32_t size_ = 0;
+  union {
+    Item inline_[kInlineItems] = {};
+    Item* heap_;
+  };
 };
+
+static_assert(sizeof(Itemset) == 24);
 
 /// FNV-1a over the item sequence; usable as the Hash template argument of
 /// unordered containers keyed by Itemset.

@@ -82,7 +82,9 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
     // Hash of this level for the prune step.
     std::unordered_set<std::vector<Item>, ItemVectorHash> frequent;
     frequent.reserve(level.size() * 2);
-    for (const auto& fi : level) frequent.insert(fi.items.items());
+    for (const auto& fi : level) {
+      frequent.emplace(fi.items.begin(), fi.items.end());
+    }
 
     // Join step: pairs sharing a (k−1)-prefix. `level` is sorted
     // lexicographically, so joinable partners are contiguous. Candidates

@@ -106,7 +106,7 @@ void Writer::PutString(std::string_view s) {
   buf_.append(s);
 }
 
-void Writer::PutU32Vec(const std::vector<uint32_t>& v) {
+void Writer::PutU32Vec(std::span<const uint32_t> v) {
   PutU32(static_cast<uint32_t>(v.size()));
   for (uint32_t e : v) PutU32(e);
 }

@@ -81,7 +81,7 @@ class Writer {
   /// u32 length + raw bytes.
   void PutString(std::string_view s);
   /// u32 count + u32 elements.
-  void PutU32Vec(const std::vector<uint32_t>& v);
+  void PutU32Vec(std::span<const uint32_t> v);
   /// u32 count + u64 elements.
   void PutU64Vec(const std::vector<uint64_t>& v);
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace privbasis {
 namespace {
@@ -23,7 +26,7 @@ TEST(ItemsetTest, EmptySet) {
 }
 
 TEST(ItemsetTest, FromSortedIsIdentity) {
-  Itemset s = Itemset::FromSorted({2, 4, 6});
+  Itemset s = Itemset::FromSorted(std::vector<Item>{2, 4, 6});
   EXPECT_EQ(s, Itemset({6, 4, 2}));
 }
 
@@ -127,6 +130,149 @@ TEST(ForEachSubsetTest, EmptyBaseYieldsNothing) {
   size_t count = 0;
   ForEachSubset(Itemset(), 0, [&](const Itemset&) { ++count; });
   EXPECT_EQ(count, 0u);
+}
+
+// ---- inline / heap storage --------------------------------------------
+//
+// Up to Itemset::kInlineItems items live inside the object; longer sets
+// own a heap array. Sizes 0, 1, 4, 5, 12 and 63 sit on both sides of that
+// boundary and at the ForEachSubset limit.
+
+constexpr size_t kSizes[] = {0, 1, 4, 5, 12, 63};
+
+/// n sorted, distinct items; every size has its own content.
+std::vector<Item> Items(size_t n, Item start = 1) {
+  std::vector<Item> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(start + 3 * static_cast<Item>(i));
+  }
+  return out;
+}
+
+TEST(ItemsetStorageTest, HoldsItemsAcrossTheInlineBoundary) {
+  static_assert(Itemset::kInlineItems == 4);
+  for (size_t n : kSizes) {
+    SCOPED_TRACE(n);
+    const std::vector<Item> want = Items(n);
+    std::vector<Item> shuffled(want.rbegin(), want.rend());
+    const Itemset s(shuffled);
+    EXPECT_EQ(s.size(), n);
+    EXPECT_EQ(s.empty(), n == 0);
+    EXPECT_EQ(std::vector<Item>(s.begin(), s.end()), want);
+    EXPECT_EQ(std::vector<Item>(s.items().begin(), s.items().end()), want);
+    EXPECT_EQ(s, Itemset::FromSorted(want));
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(s[i], want[i]);
+      EXPECT_TRUE(s.Contains(want[i]));
+    }
+    EXPECT_FALSE(s.Contains(0));
+  }
+}
+
+TEST(ItemsetStorageTest, CopiesAreDeepAndIndependent) {
+  for (size_t n : kSizes) {
+    SCOPED_TRACE(n);
+    Itemset a = Itemset::FromSorted(Items(n));
+    const Itemset b(a);
+    Itemset c{99};
+    c = a;
+    EXPECT_EQ(b, a);
+    EXPECT_EQ(c, a);
+    if (n > 0) {
+      EXPECT_NE(b.begin(), a.begin());
+      EXPECT_NE(c.begin(), a.begin());
+    }
+    a = Itemset::FromSorted(Items(n + 7, 1000));  // overwrite the source
+    EXPECT_EQ(b, Itemset::FromSorted(Items(n)));
+    EXPECT_EQ(c, Itemset::FromSorted(Items(n)));
+    c = Itemset::FromSorted(Items(2));  // heap to inline and back
+    EXPECT_EQ(c, Itemset({1, 4}));
+    c = b;
+    EXPECT_EQ(c, b);
+  }
+}
+
+TEST(ItemsetStorageTest, MovesLeaveTheSourceEmptyAndReusable) {
+  for (size_t n : kSizes) {
+    SCOPED_TRACE(n);
+    Itemset a = Itemset::FromSorted(Items(n));
+    const Item* storage = a.begin();
+    Itemset b(std::move(a));
+    EXPECT_EQ(b, Itemset::FromSorted(Items(n)));
+    if (n > Itemset::kInlineItems) {
+      EXPECT_EQ(b.begin(), storage);  // the heap array moved, not copied
+    }
+    EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(a, Itemset());
+    a = Itemset({5, 6});
+    EXPECT_EQ(a, Itemset({5, 6}));
+
+    Itemset c{42};
+    c = std::move(b);
+    EXPECT_EQ(c, Itemset::FromSorted(Items(n)));
+    EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+    b = c;
+    EXPECT_EQ(b, c);
+    const Itemset taken(std::move(c));
+    const Itemset d(std::move(c));  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(taken, b);
+    EXPECT_TRUE(d.empty());
+  }
+}
+
+TEST(ItemsetStorageTest, SelfAssignmentKeepsTheItems) {
+  for (size_t n : kSizes) {
+    SCOPED_TRACE(n);
+    Itemset a = Itemset::FromSorted(Items(n));
+    Itemset& alias = a;
+    a = alias;
+    EXPECT_EQ(a, Itemset::FromSorted(Items(n)));
+    a = std::move(alias);
+    EXPECT_EQ(a, Itemset::FromSorted(Items(n)));
+  }
+}
+
+TEST(ItemsetStorageTest, OrderingAndHashMatchVectorSemantics) {
+  // Shared prefixes on both sides of the boundary: <=>, == and the hash
+  // must agree with std::vector's lexicographic order and ItemVectorHash.
+  const std::vector<std::vector<Item>> family = {
+      {},
+      {1},
+      {1, 2},
+      {1, 2, 3, 4},
+      {1, 2, 3, 5},
+      {1, 2, 3, 4, 5},
+      {1, 2, 3, 4, 6},
+      {2},
+      Items(5),
+      Items(12),
+      Items(63),
+      Items(12, 0)};
+  for (const auto& x : family) {
+    const Itemset a = Itemset::FromSorted(x);
+    EXPECT_EQ(ItemsetHash{}(a), ItemVectorHash{}(x));
+    for (const auto& y : family) {
+      const Itemset b = Itemset::FromSorted(y);
+      EXPECT_TRUE((a <=> b) == (x <=> y));
+      EXPECT_EQ(a == b, x == y);
+      EXPECT_EQ(a < b, x < y);
+    }
+  }
+}
+
+TEST(ItemsetStorageTest, SetOperationsCrossTheBoundary) {
+  const Itemset four{1, 2, 3, 4};
+  const Itemset five = four.With(5);
+  EXPECT_EQ(five, Itemset({1, 2, 3, 4, 5}));
+  EXPECT_EQ(five.Difference(Itemset{5}), four);
+  EXPECT_EQ(five.Intersect(Itemset{2, 5, 9}), Itemset({2, 5}));
+  EXPECT_EQ(four.Union(Itemset{0, 9}), Itemset({0, 1, 2, 3, 4, 9}));
+  EXPECT_EQ(five.With(3), five);
+  EXPECT_TRUE(four.IsSubsetOf(five));
+  EXPECT_FALSE(five.IsSubsetOf(four));
+  const Itemset big = Itemset::FromSorted(Items(12));
+  EXPECT_EQ(big.Union(big), big);
+  EXPECT_EQ(big.Intersect(Itemset::FromSorted(Items(3))).size(), 3u);
 }
 
 }  // namespace
