@@ -323,24 +323,31 @@ Result<BasisFreqResult> BasisFreq(const TransactionDatabase& db,
   }
   result.num_candidates = candidates.size();
 
-  // Line 27: select the k candidates with the highest noisy counts.
-  std::vector<NoisyItemset> all;
-  all.reserve(candidates.size());
-  for (auto& [items, est] : candidates) {
-    all.push_back(NoisyItemset{items, est.noisy_count});
+  // Line 27: select the k candidates with the highest noisy counts (ties:
+  // shorter first, then lexicographic — a strict total order, so the
+  // selection is deterministic). Only pointers to the map entries are
+  // ordered, and exactly k NoisyItemsets are copied out.
+  using Entry = std::pair<const Itemset, FusedEstimate>;
+  std::vector<const Entry*> order;
+  order.reserve(candidates.size());
+  for (const Entry& entry : candidates) order.push_back(&entry);
+  const size_t keep = (k == 0) ? order.size() : std::min(k, order.size());
+  std::partial_sort(
+      order.begin(), order.begin() + static_cast<ptrdiff_t>(keep), order.end(),
+      [](const Entry* a, const Entry* b) {
+        if (a->second.noisy_count != b->second.noisy_count) {
+          return a->second.noisy_count > b->second.noisy_count;
+        }
+        if (a->first.size() != b->first.size()) {
+          return a->first.size() < b->first.size();
+        }
+        return a->first < b->first;
+      });
+  result.topk.reserve(keep);
+  for (size_t i = 0; i < keep; ++i) {
+    result.topk.push_back(
+        NoisyItemset{order[i]->first, order[i]->second.noisy_count});
   }
-  std::sort(all.begin(), all.end(),
-            [](const NoisyItemset& a, const NoisyItemset& b) {
-              if (a.noisy_count != b.noisy_count) {
-                return a.noisy_count > b.noisy_count;
-              }
-              if (a.items.size() != b.items.size()) {
-                return a.items.size() < b.items.size();
-              }
-              return a.items < b.items;
-            });
-  if (k != 0 && all.size() > k) all.resize(k);
-  result.topk = std::move(all);
   return result;
 }
 

@@ -1,7 +1,9 @@
 #include "dp/exponential_mechanism.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -62,35 +64,37 @@ Result<std::vector<size_t>> ExponentialMechanismSelectK(
 }
 
 GroupedEmPool::GroupedEmPool(std::span<const uint64_t> qualities) {
+  assert(qualities.size() <= UINT32_MAX);
   remaining_ = qualities.size();
-  std::vector<size_t> order(qualities.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+  members_.resize(qualities.size());
+  std::iota(members_.begin(), members_.end(), uint32_t{0});
+  std::sort(members_.begin(), members_.end(), [&](uint32_t a, uint32_t b) {
     if (qualities[a] != qualities[b]) return qualities[a] > qualities[b];
     return a < b;
   });
-  for (size_t idx : order) {
-    if (groups_.empty() || groups_.back().quality != qualities[idx]) {
-      groups_.push_back(Group{qualities[idx], {}});
+  for (size_t i = 0; i < members_.size(); ++i) {
+    const uint64_t quality = qualities[members_[i]];
+    if (groups_.empty() || groups_.back().quality != quality) {
+      groups_.push_back(Group{quality, i, 0});
     }
-    groups_.back().members.push_back(idx);
+    ++groups_.back().size;
   }
 }
 
 void GroupedEmPool::OfferAll(GumbelMaxSampler* sampler, double factor) const {
   for (size_t g = 0; g < groups_.size(); ++g) {
-    if (groups_[g].members.empty()) continue;
+    if (groups_[g].size == 0) continue;
     sampler->OfferGroup(g, factor * static_cast<double>(groups_[g].quality),
-                        static_cast<double>(groups_[g].members.size()));
+                        static_cast<double>(groups_[g].size));
   }
 }
 
 size_t GroupedEmPool::TakeFrom(size_t group, Rng& rng) {
-  auto& members = groups_[group].members;
-  size_t pick = rng.UniformInt(members.size());
-  size_t idx = members[pick];
-  members[pick] = members.back();
-  members.pop_back();
+  Group& g = groups_[group];
+  const size_t pick = g.begin + rng.UniformInt(g.size);
+  const size_t idx = members_[pick];
+  members_[pick] = members_[g.begin + g.size - 1];
+  --g.size;
   --remaining_;
   return idx;
 }

@@ -53,7 +53,8 @@ Result<std::vector<size_t>> ExponentialMechanismSelectK(
 /// mechanism, so a round needs one Gumbel draw per *distinct* value
 /// instead of one per candidate — this is what makes selecting 200 items
 /// out of the 2.3M-item AOL universe cheap. Supports without-replacement
-/// rounds via TakeFrom.
+/// rounds via TakeFrom. Holds one 4-byte index per candidate, so at most
+/// 2^32 − 1 candidates.
 class GroupedEmPool {
  public:
   explicit GroupedEmPool(std::span<const uint64_t> qualities);
@@ -75,10 +76,14 @@ class GroupedEmPool {
   Result<std::vector<size_t>> SelectK(Rng& rng, size_t count, double factor);
 
  private:
+  /// A group's remaining members are members_[begin, begin + size).
   struct Group {
     uint64_t quality;
-    std::vector<size_t> members;
+    size_t begin;
+    size_t size;
   };
+  /// Candidate indices by quality (descending), then index (ascending).
+  std::vector<uint32_t> members_;
   std::vector<Group> groups_;
   size_t remaining_ = 0;
 };
