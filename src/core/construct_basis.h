@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/status.h"
 #include "core/basis.h"
 #include "data/itemset.h"
@@ -22,6 +23,10 @@ struct ConstructBasisOptions {
   /// not considered (the paper limits ℓ to at most 12 — §4.2 running-time
   /// analysis).
   size_t max_basis_length = 12;
+  /// Cooperative cancellation, polled once per merge round (Line 4) and
+  /// per dissolve round (Line 5); a fired token returns kCancelled.
+  /// nullptr = not cancellable.
+  const CancelToken* cancel = nullptr;
 };
 
 /// Builds a basis set from frequent items F and frequent pairs P. Each

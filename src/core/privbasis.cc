@@ -238,6 +238,7 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
     // Step 4: basis construction (no privacy cost).
     ConstructBasisOptions cb;
     cb.max_basis_length = options.max_basis_length;
+    cb.cancel = options.cancel;
     PRIVBASIS_ASSIGN_OR_RETURN(result.basis_set, ConstructBasisSet(f, p, cb));
   }
 
