@@ -1,12 +1,15 @@
 // Microbenchmarks for Algorithm 1 (BasisFreq), validating the paper's
 // running-time analysis O(w·|D| + w·3^ℓ): runtime should scale linearly
 // in the width w and exponentially in the length ℓ, and the zeta-
-// transform superset sum should beat the naive O(3^ℓ) enumeration.
+// transform superset sum should beat the naive O(3^ℓ) enumeration. Also
+// times basis construction (Algorithm 2) at a k=300 query's shape.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "common/rng.h"
 #include "core/basis_freq.h"
+#include "core/construct_basis.h"
+#include "core/privbasis.h"
 #include "data/synthetic.h"
 
 namespace privbasis {
@@ -86,6 +89,55 @@ void BM_BasisFreqThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_BasisFreqThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
+
+/// The frequent items F and pairs P a k=300 PrivBasis query hands to the
+/// construction on this dataset (λ = 62, λ2 = 129), picked with the
+/// mechanism's own noisy selection steps at ε = 1 and a fixed seed.
+struct FrequentGraph {
+  std::vector<Item> items;
+  std::vector<Itemset> pairs;
+};
+
+FrequentGraph MakeK300Graph() {
+  constexpr size_t kLambda = 62, kLambda2 = 129;
+  const auto& db = Db();
+  const PrivBasisOptions options;
+  const double beta1 = options.alpha2 * static_cast<double>(kLambda) /
+                       static_cast<double>(kLambda + kLambda2);
+  const double beta2 = options.alpha2 - beta1;
+  Rng rng(300);
+  FrequentGraph graph;
+  auto item_picks = GetFreqElements(db.ItemSupports(), kLambda, beta1, true,
+                                    rng);
+  if (!item_picks.ok()) std::abort();
+  for (size_t idx : *item_picks) graph.items.push_back(static_cast<Item>(idx));
+  const size_t m = graph.items.size();
+  const std::vector<uint64_t> counts = CountPairSupports(db, graph.items);
+  std::vector<std::pair<Item, Item>> index;
+  std::vector<uint64_t> qualities;
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = i + 1; j < m; ++j) {
+      index.emplace_back(graph.items[i], graph.items[j]);
+      qualities.push_back(counts[i * m + j]);
+    }
+  }
+  auto pair_picks = GetFreqElements(qualities, kLambda2, beta2, true, rng);
+  if (!pair_picks.ok()) std::abort();
+  for (size_t idx : *pair_picks) {
+    graph.pairs.push_back(Itemset{index[idx].first, index[idx].second});
+  }
+  return graph;
+}
+
+void BM_ConstructBasisSet(benchmark::State& state) {
+  static const FrequentGraph graph = MakeK300Graph();
+  for (auto _ : state) {
+    auto basis_set = ConstructBasisSet(graph.items, graph.pairs);
+    benchmark::DoNotOptimize(basis_set);
+  }
+}
+BENCHMARK(BM_ConstructBasisSet)->Unit(benchmark::kMillisecond);
+
 
 }  // namespace
 }  // namespace privbasis

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <unordered_map>
 
 #include "common/logspace.h"
@@ -55,6 +56,10 @@ Result<std::vector<size_t>> GetFreqElements(
         std::to_string(candidate_supports.size()) + " candidates");
   }
   if (count == 0) return std::vector<size_t>{};
+  if (candidate_supports.size() > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "GetFreqElements: more than 2^32 - 1 candidates");
+  }
   // Per-round budget ε/count; quality = support (GS 1, monotone: adding a
   // transaction can only raise supports).
   const double per_round = epsilon / static_cast<double>(count);

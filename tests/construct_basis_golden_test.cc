@@ -13,6 +13,8 @@
 //     (λ = 160, λ2 = 339), where small caps force oversized-clique
 //     splits;
 //   - pair endpoints missing from F, F-only inputs, duplicate pairs.
+//
+// An unfired cancel token leaves the pins unchanged; a fired one cancels.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/rng.h"
 #include "core/construct_basis.h"
 
@@ -166,9 +169,10 @@ struct Golden {
 
 void ExpectGolden(const std::vector<Item>& items,
                   const std::vector<Itemset>& pairs, size_t cap,
-                  const Golden& want) {
+                  const Golden& want, const CancelToken* cancel = nullptr) {
   ConstructBasisOptions options;
   options.max_basis_length = cap;
+  options.cancel = cancel;
   auto basis_set = ConstructBasisSet(items, pairs, options);
   ASSERT_TRUE(basis_set.ok()) << basis_set.status().ToString();
   EXPECT_EQ(basis_set->Width(), want.width);
@@ -278,6 +282,28 @@ TEST(ConstructBasisGoldenTest, SmallExactBases) {
     ASSERT_TRUE(basis_set.ok());
     EXPECT_EQ(basis_set->ToString(), want[c]) << "cap " << caps[c];
   }
+}
+
+TEST(ConstructBasisGoldenTest, UnfiredTokenLeavesOutputUnchanged) {
+  const CancelToken token;
+  ExpectGolden(kKosarakItems, ToItemsets(kKosarakPairs), 12,
+               {43, 6, 0x91cdbf1d5e7b5ba0ULL}, &token);
+  const CancelToken far = CancelToken::AfterMs(60 * 60 * 1000);
+  ExpectGolden(kKosarakItems, ToItemsets(kKosarakPairs), 4,
+               {51, 4, 0xe1b647a389ac45ffULL}, &far);
+}
+
+TEST(ConstructBasisGoldenTest, FiredTokenCancels) {
+  CancelToken token;
+  token.Cancel();
+  ConstructBasisOptions options;
+  options.cancel = &token;
+  auto basis_set =
+      ConstructBasisSet(kKosarakItems, ToItemsets(kKosarakPairs), options);
+  EXPECT_EQ(basis_set.status().code(), StatusCode::kCancelled);
+  // Line 5 alone (no pairs) polls too.
+  auto loose = ConstructBasisSet({1, 2, 3, 4, 5, 6, 7}, {}, options);
+  EXPECT_EQ(loose.status().code(), StatusCode::kCancelled);
 }
 
 }  // namespace

@@ -397,6 +397,31 @@ TEST(EngineTest, DeadlineMidScanChargesFullReservation) {
                    1.0 + ok->epsilon_spent);
 }
 
+TEST(EngineTest, DeadlineInsideBasisConstructionChargesFullReservation) {
+  auto dataset = SmallDataset(4.0);
+  QuerySpec spec = QuerySpec().WithTopK(10).WithEpsilon(1.0);
+  spec.pb.single_basis_lambda_cap = 0;  // always build a basis set
+  ASSERT_TRUE(dataset->MarginSupport(spec.k, spec.pb.eta).ok());
+  // The first construction round sleeps past the deadline; the round's
+  // poll must then stop the query before BasisFreq runs.
+  ASSERT_TRUE(failpoint::Configure("construct_basis_round=sleep:400").ok());
+  const CancelToken token = CancelToken::AfterMs(100);
+  auto release = Engine::Run(*dataset, QuerySpec(spec).WithCancel(&token));
+  failpoint::Reset();
+  ASSERT_FALSE(release.ok());
+  EXPECT_EQ(release.status().code(), StatusCode::kCancelled)
+      << release.status();
+  EXPECT_NE(release.status().message().find("construction"),
+            std::string::npos)
+      << release.status();
+  // Cancelled after the reservation: the full reservation is charged.
+  EXPECT_DOUBLE_EQ(dataset->accountant()->spent_epsilon(), 1.0);
+  EXPECT_EQ(dataset->accountant()->reserved_epsilon(), 0.0);
+  ASSERT_EQ(dataset->accountant()->ledger().size(), 1u);
+  auto ok = Engine::Run(*dataset, spec);
+  EXPECT_TRUE(ok.ok()) << ok.status();
+}
+
 TEST(EngineTest, CancelledColdBuildCachesNothing) {
   auto dataset = SmallDataset();
   CancelToken token;
