@@ -227,10 +227,10 @@ Result<BasisSet> ConstructBasisSet(const std::vector<Item>& freq_items,
   };
 
   // EV(B) = w²·Σ_q 1/inv_q with inv_q = Σ_{B ⊇ q} 1/2^{|B|−|q|}. Every
-  // term of inv_q is a power of two no smaller than 2^{1−ℓ}, so inv_q is
-  // exact in any summation order: it is kept up to date by subtracting
-  // replaced bases and adding their successors, and always equals a
-  // from-scratch recount bit for bit. Sums over queries that round (a
+  // term of inv_q is a power of two in [2^{1−ℓ}, 1] and there are at most
+  // w < 2^{53−ℓ} of them, so inv_q is exact in any summation order: it is
+  // kept up to date by subtracting replaced bases and adding their
+  // successors, and always equals a from-scratch recount bit for bit. Sums over queries that round (a
   // merge delta, s, the Line-5 EV) run in ascending query index.
   std::vector<double> inv(queries.size(), 0.0);
   for (const auto& basis : b1) queries.AddBasis(basis, 1.0, &inv);
