@@ -2,7 +2,9 @@
 // running-time analysis O(w·|D| + w·3^ℓ): runtime should scale linearly
 // in the width w and exponentially in the length ℓ, and the zeta-
 // transform superset sum should beat the naive O(3^ℓ) enumeration. Also
-// times basis construction (Algorithm 2) at a k=300 query's shape.
+// times basis construction (Algorithm 2) at a k=300 query's shape, and
+// the pre-construction stages of Algorithm 3: the item exponential
+// mechanism and pair counting.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -11,6 +13,7 @@
 #include "core/construct_basis.h"
 #include "core/privbasis.h"
 #include "data/synthetic.h"
+#include "engine/dataset.h"
 
 namespace privbasis {
 namespace {
@@ -138,6 +141,35 @@ void BM_ConstructBasisSet(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstructBasisSet)->Unit(benchmark::kMillisecond);
 
+/// Step 2 of Algorithm 3 on this dataset: the λ = 24 items of a k=50
+/// query, drawn from every item's support (grouping plus draws).
+void BM_GetFreqElements(benchmark::State& state) {
+  const auto& db = Db();
+  Rng rng(50);
+  for (auto _ : state) {
+    auto picks = GetFreqElements(db.ItemSupports(), 24, 0.2, true, rng);
+    benchmark::DoNotOptimize(picks);
+  }
+}
+BENCHMARK(BM_GetFreqElements)->Unit(benchmark::kMicrosecond);
+
+/// Step 3's exact pair supports through the dataset's count executor, at
+/// the λ of a k=50 (λ = 24, bitmap path) and a k=300 (λ = 61, scan)
+/// query; F is picked by the item mechanism as in a query.
+void BM_PairSupports(benchmark::State& state) {
+  static const std::shared_ptr<Dataset> dataset = Dataset::Borrow(Db());
+  const auto exec = dataset->EnsureCountExecutor();
+  const auto lambda = static_cast<size_t>(state.range(0));
+  Rng rng(lambda);
+  auto picks = GetFreqElements(Db().ItemSupports(), lambda, 0.2, true, rng);
+  if (!picks.ok()) std::abort();
+  const std::vector<Item> items(picks->begin(), picks->end());
+  for (auto _ : state) {
+    auto counts = exec->PairSupports(items, nullptr);
+    benchmark::DoNotOptimize(counts);
+  }
+}
+BENCHMARK(BM_PairSupports)->Arg(24)->Arg(61)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace privbasis

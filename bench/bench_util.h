@@ -4,6 +4,8 @@
 #define PRIVBASIS_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,13 +14,24 @@
 
 namespace privbasis::bench {
 
+/// Item ids by descending support, ties by ascending id.
+inline std::vector<Item> ItemsBySupport(const TransactionDatabase& db) {
+  const std::vector<uint64_t>& supports = db.ItemSupports();
+  std::vector<Item> order(supports.size());
+  std::iota(order.begin(), order.end(), Item{0});
+  std::stable_sort(order.begin(), order.end(), [&](Item a, Item b) {
+    return supports[a] > supports[b];
+  });
+  return order;
+}
+
 /// Random itemsets over the most frequent items — the regime where the
 /// dense bitmap backend engages. Shared by the micro benches and the
 /// smoke suite so their "dense query" workloads stay identical.
 inline std::vector<Itemset> DenseQueries(const TransactionDatabase& db,
                                          size_t count, size_t size,
                                          uint64_t seed) {
-  std::vector<Item> order = db.ItemsByFrequency();
+  std::vector<Item> order = ItemsBySupport(db);
   const size_t pool = std::min<size_t>(order.size(), 64);
   Rng rng(seed);
   std::vector<Itemset> queries;
@@ -36,7 +49,7 @@ inline std::vector<Itemset> DenseQueries(const TransactionDatabase& db,
 /// Bases of the given width and length over the most frequent items.
 inline BasisSet MakeFrequentItemBasis(const TransactionDatabase& db,
                                       size_t width, size_t length) {
-  std::vector<Item> order = db.ItemsByFrequency();
+  std::vector<Item> order = ItemsBySupport(db);
   BasisSet basis;
   size_t cursor = 0;
   for (size_t i = 0; i < width; ++i) {

@@ -29,6 +29,56 @@ const CancelToken* FusedToken(const std::vector<const CancelToken*>& cancels,
   return &*storage;
 }
 
+/// Calls fn(i, j) for every pair i < j of `items` that CountPairSupports
+/// counts: pairs touching a later copy of a repeated item are skipped
+/// (they stay 0 in the dense layout).
+template <typename Fn>
+void ForEachCountedPair(const std::vector<Item>& items, Fn&& fn) {
+  const size_t m = items.size();
+  std::vector<bool> repeat(m, false);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = i + 1; j < m; ++j) {
+      if (items[j] == items[i]) repeat[j] = true;
+    }
+  }
+  for (size_t i = 0; i < m; ++i) {
+    if (repeat[i]) continue;
+    for (size_t j = i + 1; j < m; ++j) {
+      if (!repeat[j]) fn(i, j);
+    }
+  }
+}
+
+/// Pair supports of several item lists from one batch support count:
+/// enumerates every list's pairs, counts them all with one call of
+/// `support_of_many`, and reshapes each list's slice into the dense m×m
+/// layout of CountPairSupports.
+template <typename SupportOfMany>
+Result<std::vector<std::vector<uint64_t>>> PairSupportsByBatch(
+    const std::vector<const std::vector<Item>*>& lists,
+    SupportOfMany&& support_of_many) {
+  std::vector<Itemset> queries;
+  for (const std::vector<Item>* items : lists) {
+    ForEachCountedPair(*items, [&](size_t i, size_t j) {
+      queries.push_back(Itemset{(*items)[i], (*items)[j]});
+    });
+  }
+  PRIVBASIS_ASSIGN_OR_RETURN(
+      std::vector<uint64_t> counts,
+      support_of_many(std::span<const Itemset>(queries)));
+  std::vector<std::vector<uint64_t>> out;
+  out.reserve(lists.size());
+  size_t pos = 0;
+  for (const std::vector<Item>* items : lists) {
+    const size_t m = items->size();
+    std::vector<uint64_t> dense(m * m, 0);
+    ForEachCountedPair(*items,
+                       [&](size_t i, size_t j) { dense[i * m + j] = counts[pos++]; });
+    out.push_back(std::move(dense));
+  }
+  return out;
+}
+
 }  // namespace
 
 // ------------------------------------------------------ DirectCountExecutor
@@ -40,6 +90,23 @@ Result<std::vector<std::vector<uint64_t>>> DirectCountExecutor::BasisBinCounts(
 
 Result<std::vector<uint64_t>> DirectCountExecutor::PairSupports(
     const std::vector<Item>& items, const CancelToken* cancel) const {
+  // A bitmap pair costs one AND + popcount pass over N/64 words; the
+  // scan costs one pass over every item occurrence. Count through the
+  // bitmaps when every item has one and that is the smaller pass.
+  const size_t m = items.size();
+  const uint64_t pairs = m < 2 ? 0 : uint64_t{m} * (m - 1) / 2;
+  const uint64_t words = (index_->NumTransactions() + 63) / 64;
+  const bool all_dense = std::all_of(items.begin(), items.end(), [&](Item it) {
+    return index_->IsDense(it);
+  });
+  if (all_dense && pairs * words < db_->TotalItemOccurrences()) {
+    PRIVBASIS_ASSIGN_OR_RETURN(
+        std::vector<std::vector<uint64_t>> dense,
+        PairSupportsByBatch({&items}, [&](std::span<const Itemset> queries) {
+          return SupportOfMany(queries, cancel);
+        }));
+    return std::move(dense[0]);
+  }
   std::vector<uint64_t> counts = CountPairSupports(*db_, items, cancel);
   if (IsCancelled(cancel)) {
     return Status::Cancelled("pair counting cancelled mid-scan");
@@ -262,36 +329,17 @@ Result<std::vector<uint64_t>> BatchingCountExecutor::PairSupports(
           out.push_back(std::move(counts));
           return out;
         }
-        // Fuse every member's pairs into one SupportOfMany scan, then
-        // reshape each slice back into the dense m×m layout of
-        // CountPairSupports. Pair supports are exact either way.
+        // Fuse every member's pairs into one SupportOfMany scan. Pair
+        // supports are exact either way.
         std::optional<CancelToken> storage;
         const CancelToken* token = FusedToken(cancels, storage);
-        std::vector<Itemset> queries;
-        for (const PairReq* r : reqs) {
-          const std::vector<Item>& member = *r->items;
-          for (size_t i = 0; i < member.size(); ++i) {
-            for (size_t j = i + 1; j < member.size(); ++j) {
-              queries.push_back(Itemset{member[i], member[j]});
-            }
-          }
-        }
-        PRIVBASIS_ASSIGN_OR_RETURN(Resp counts,
-                                   inner_->SupportOfMany(queries, token));
-        std::vector<Resp> out;
-        out.reserve(reqs.size());
-        size_t pos = 0;
-        for (const PairReq* r : reqs) {
-          const size_t m = r->items->size();
-          Resp dense(m * m, 0);
-          for (size_t i = 0; i < m; ++i) {
-            for (size_t j = i + 1; j < m; ++j) {
-              dense[i * m + j] = counts[pos++];
-            }
-          }
-          out.push_back(std::move(dense));
-        }
-        return out;
+        std::vector<const std::vector<Item>*> lists;
+        lists.reserve(reqs.size());
+        for (const PairReq* r : reqs) lists.push_back(r->items);
+        return PairSupportsByBatch(
+            lists, [&](std::span<const Itemset> queries) {
+              return inner_->SupportOfMany(queries, token);
+            });
       });
 }
 

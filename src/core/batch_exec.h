@@ -23,7 +23,10 @@
 // CountBasisBins / CountPairSupports / VerticalIndex::SupportOfMany
 // calls the mechanisms make when no executor is attached) to the
 // CountExecutor interface, so batching composes with fanout 1 as well
-// as with the sharded executors.
+// as with the sharded executors. Its pair supports come from the
+// VerticalIndex bitmaps instead of a scan when every item has a bitmap
+// and the pairs' bitmap words are fewer than the item occurrences; the
+// counts are exact either way.
 #ifndef PRIVBASIS_CORE_BATCH_EXEC_H_
 #define PRIVBASIS_CORE_BATCH_EXEC_H_
 
@@ -48,7 +51,7 @@ struct BatchStats {
 };
 
 /// The unsharded direct-scan path behind the CountExecutor interface:
-/// every op calls the exact function the mechanisms use when no
+/// every op returns exactly the counts the mechanisms compute when no
 /// executor is attached, so attaching this executor never changes a
 /// release bit.
 class DirectCountExecutor : public CountExecutor {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/logspace.h"
 #include "core/construct_basis.h"
@@ -18,32 +17,22 @@ uint32_t GetLambda(const TransactionDatabase& db, uint64_t fk1_support,
                    double epsilon, Rng& rng) {
   // Quality of rank j (1-based): (1 − |f_itemj − θ|)·N = N − |c_j − θ·N|
   // in count units. Ranks sharing an item count share a quality, so we
-  // offer one Gumbel per run of equal counts.
-  std::vector<uint64_t> counts = db.ItemSupports();
-  std::sort(counts.begin(), counts.end(), std::greater<>());
+  // offer one Gumbel per group of equal counts, keyed by its first rank.
+  const GroupedEmPool runs(db.ItemSupports());
   const double n = static_cast<double>(db.NumTransactions());
   const double theta_count = static_cast<double>(fk1_support);
   const double factor = epsilon / 2.0;  // GS_q = 1, standard EM exponent
 
   GumbelMaxSampler sampler(&rng);
-  size_t run_start = 0;
-  while (run_start < counts.size()) {
-    size_t run_end = run_start;
-    while (run_end < counts.size() && counts[run_end] == counts[run_start]) {
-      ++run_end;
-    }
-    double quality =
-        n - std::abs(static_cast<double>(counts[run_start]) - theta_count);
-    sampler.OfferGroup(run_start, factor * quality,
-                       static_cast<double>(run_end - run_start));
-    run_start = run_end;
+  for (size_t g = 0; g < runs.NumGroups(); ++g) {
+    const double quality =
+        n - std::abs(static_cast<double>(runs.GroupQuality(g)) - theta_count);
+    sampler.OfferGroup(g, factor * quality,
+                       static_cast<double>(runs.GroupSize(g)));
   }
-  size_t winner_run = sampler.WinnerKey();
-  size_t run_end = winner_run;
-  while (run_end < counts.size() && counts[run_end] == counts[winner_run]) {
-    ++run_end;
-  }
-  size_t rank = winner_run + rng.UniformInt(run_end - winner_run);
+  const size_t winner = sampler.WinnerKey();
+  const size_t rank =
+      runs.GroupBegin(winner) + rng.UniformInt(runs.GroupSize(winner));
   return static_cast<uint32_t>(rank + 1);  // 1-based rank = λ
 }
 
@@ -72,9 +61,15 @@ std::vector<uint64_t> CountPairSupports(const TransactionDatabase& db,
                                         const std::vector<Item>& items,
                                         const CancelToken* cancel) {
   const size_t m = items.size();
-  std::unordered_map<Item, uint32_t> local;
-  local.reserve(m * 2);
-  for (uint32_t i = 0; i < m; ++i) local.emplace(items[i], i);
+  // Item → position in `items`, over the whole universe. A repeated item
+  // keeps its first position; items outside the universe never occur.
+  constexpr uint32_t kAbsent = UINT32_MAX;
+  std::vector<uint32_t> slot(db.UniverseSize(), kAbsent);
+  for (uint32_t i = 0; i < m; ++i) {
+    if (items[i] < slot.size() && slot[items[i]] == kAbsent) {
+      slot[items[i]] = i;
+    }
+  }
 
   std::vector<uint64_t> counts(m * m, 0);
   std::vector<uint32_t> present;
@@ -82,8 +77,7 @@ std::vector<uint64_t> CountPairSupports(const TransactionDatabase& db,
     if (t % 1024 == 0 && IsCancelled(cancel)) return counts;
     present.clear();
     for (Item it : db.Transaction(t)) {
-      auto found = local.find(it);
-      if (found != local.end()) present.push_back(found->second);
+      if (slot[it] != kAbsent) present.push_back(slot[it]);
     }
     for (size_t a = 0; a < present.size(); ++a) {
       for (size_t b = a + 1; b < present.size(); ++b) {
@@ -112,8 +106,17 @@ Status ValidatePrivBasisOptions(size_t k, double epsilon,
     return Status::InvalidArgument(
         "eta must be >= 1 (GetLambda targets the ceil(eta*k)-th itemset)");
   }
-  if (options.max_basis_length == 0) {
-    return Status::InvalidArgument("max_basis_length must be >= 1");
+  // BasisFreq materializes 2^ℓ bins per basis and refuses bases longer
+  // than its own cap, so a longer construction cap (or single basis)
+  // could only fail after ε is spent; ConstructBasisSet needs ℓ ≥ 3.
+  const size_t cap = options.basis_freq.max_basis_length;
+  if (options.max_basis_length < 3 || options.max_basis_length > cap) {
+    return Status::InvalidArgument("max_basis_length must be in [3, " +
+                                   std::to_string(cap) + "]");
+  }
+  if (options.single_basis_lambda_cap > cap) {
+    return Status::InvalidArgument("single_basis_lambda_cap must be <= " +
+                                   std::to_string(cap));
   }
   return Status::OK();
 }

@@ -83,8 +83,10 @@ struct PrivBasisResult {
 };
 
 /// Validates the (k, ε, options) triple of one PrivBasis query: k ≥ 1,
-/// ε > 0 and finite, α1/α2/α3 positive with α1+α2+α3 ≤ 1, η ≥ 1, and
-/// max_basis_length ≥ 1. The single source of truth for option checks —
+/// ε > 0 and finite, α1/α2/α3 positive with α1+α2+α3 ≤ 1, η ≥ 1,
+/// 3 ≤ max_basis_length ≤ basis_freq.max_basis_length, and
+/// single_basis_lambda_cap ≤ basis_freq.max_basis_length. The single
+/// source of truth for option checks —
 /// QuerySpec::Validate, the Engine, and the deprecated free functions all
 /// route through it.
 Status ValidatePrivBasisOptions(size_t k, double epsilon,
@@ -123,7 +125,9 @@ Result<std::vector<size_t>> GetFreqElements(
 
 /// Exact pair-support counting restricted to `items`: one data scan,
 /// returns the dense upper-triangular counts, pair (i, j) with i < j at
-/// index i*|items| + j. A fired `cancel` token stops the scan within one
+/// index i*|items| + j. A repeated item counts at its first position
+/// only (pairs touching a later copy stay 0), and items outside the
+/// universe count 0. A fired `cancel` token stops the scan within one
 /// transaction chunk and returns the partial counts — the caller must
 /// check the token and discard them (RunPrivBasisImpl does).
 std::vector<uint64_t> CountPairSupports(const TransactionDatabase& db,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 namespace privbasis {
 
@@ -50,18 +49,6 @@ uint64_t TransactionDatabase::SupportOf(const Itemset& itemset) const {
     if (itemset.IsSubsetOf(Transaction(i))) ++support;
   }
   return support;
-}
-
-std::vector<Item> TransactionDatabase::ItemsByFrequency() const {
-  std::vector<Item> order(universe_size_);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](Item a, Item b) {
-    if (item_supports_[a] != item_supports_[b]) {
-      return item_supports_[a] > item_supports_[b];
-    }
-    return a < b;
-  });
-  return order;
 }
 
 TransactionDatabase TransactionDatabase::ProjectOnto(

@@ -82,9 +82,6 @@ class TransactionDatabase {
            static_cast<double>(NumTransactions());
   }
 
-  /// Item ids sorted by descending support (ties by ascending id).
-  std::vector<Item> ItemsByFrequency() const;
-
   /// New database containing only items in `keep` (a projection in the
   /// paper's §4.1 sense). Transaction count is preserved; transactions may
   /// become empty. Item ids are NOT remapped.

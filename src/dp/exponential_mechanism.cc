@@ -1,11 +1,13 @@
 #include "dp/exponential_mechanism.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/logspace.h"
 
@@ -68,10 +70,31 @@ GroupedEmPool::GroupedEmPool(std::span<const uint64_t> qualities) {
   remaining_ = qualities.size();
   members_.resize(qualities.size());
   std::iota(members_.begin(), members_.end(), uint32_t{0});
-  std::sort(members_.begin(), members_.end(), [&](uint32_t a, uint32_t b) {
-    if (qualities[a] != qualities[b]) return qualities[a] > qualities[b];
-    return a < b;
-  });
+  // Stable LSD radix sort on the complemented digits of the quality:
+  // descending quality, and ascending index within a quality because
+  // every pass is stable and the input starts in index order. Only the
+  // digits the largest quality occupies need a pass; passes whose digit
+  // is the same for every member are skipped.
+  constexpr unsigned kDigitBits = 11;
+  constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
+  const uint64_t max_quality =
+      qualities.empty() ? 0 : *std::max_element(qualities.begin(),
+                                                 qualities.end());
+  const unsigned bits = static_cast<unsigned>(std::bit_width(max_quality));
+  std::vector<uint32_t> scratch(members_.size());
+  std::vector<size_t> offsets(kDigitMask + 1);
+  for (unsigned shift = 0; shift < bits; shift += kDigitBits) {
+    auto digit = [&](uint32_t idx) {
+      return kDigitMask - ((qualities[idx] >> shift) & kDigitMask);
+    };
+    std::fill(offsets.begin(), offsets.end(), 0);
+    for (uint32_t idx : members_) ++offsets[digit(idx)];
+    if (offsets[digit(members_[0])] == members_.size()) continue;
+    size_t sum = 0;
+    for (size_t& offset : offsets) sum += std::exchange(offset, sum);
+    for (uint32_t idx : members_) scratch[offsets[digit(idx)]++] = idx;
+    members_.swap(scratch);
+  }
   for (size_t i = 0; i < members_.size(); ++i) {
     const uint64_t quality = qualities[members_[i]];
     if (groups_.empty() || groups_.back().quality != quality) {

@@ -62,6 +62,11 @@ class GroupedEmPool {
   size_t NumGroups() const { return groups_.size(); }
   size_t NumRemaining() const { return remaining_; }
   uint64_t GroupQuality(size_t group) const { return groups_[group].quality; }
+  /// Groups are in descending quality order, so before any TakeFrom a
+  /// group covers the ranks [GroupBegin, GroupBegin + GroupSize) of the
+  /// candidates sorted by descending quality.
+  size_t GroupBegin(size_t group) const { return groups_[group].begin; }
+  size_t GroupSize(size_t group) const { return groups_[group].size; }
 
   /// Offers every non-empty group to `sampler` with key = group index and
   /// log-weight factor·quality aggregated over the group size.

@@ -90,6 +90,32 @@ TEST(EngineTest, InvalidSpecRejectedBeforeAnySpend) {
   EXPECT_EQ(dataset->accountant()->spent_epsilon(), 0.0);
 }
 
+TEST(EngineTest, BasisLengthOutsideBasisFreqCapRejectedBeforeAnySpend) {
+  auto dataset = SmallDataset(1.0);
+  const size_t cap = PrivBasisOptions().basis_freq.max_basis_length;
+  std::vector<QuerySpec> bad(5, QuerySpec().WithTopK(300));
+  bad[0].pb.max_basis_length = 1;
+  bad[1].pb.max_basis_length = 2;
+  bad[2].pb.max_basis_length = cap + 1;
+  bad[3].pb.max_basis_length = 64;
+  bad[4].pb.single_basis_lambda_cap = cap + 1;
+  for (const QuerySpec& spec : bad) {
+    auto release = Engine::Run(*dataset, spec);
+    ASSERT_FALSE(release.ok());
+    EXPECT_EQ(release.status().code(), StatusCode::kInvalidArgument)
+        << release.status();
+    EXPECT_EQ(dataset->accountant()->spent_epsilon(), 0.0);
+    EXPECT_EQ(dataset->accountant()->reserved_epsilon(), 0.0);
+    EXPECT_TRUE(dataset->accountant()->ledger().empty());
+  }
+  QuerySpec edges = QuerySpec().WithTopK(10);
+  edges.pb.max_basis_length = 3;
+  edges.pb.single_basis_lambda_cap = cap;
+  EXPECT_TRUE(edges.Validate().ok());
+  edges.pb.max_basis_length = cap;
+  EXPECT_TRUE(edges.Validate().ok());
+}
+
 TEST(EngineTest, BudgetExhaustionAcrossRepeatedQueries) {
   auto dataset = SmallDataset(/*total_epsilon=*/1.0);
   QuerySpec spec = QuerySpec().WithTopK(5).WithEpsilon(0.4);

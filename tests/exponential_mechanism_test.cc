@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <set>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace privbasis {
 namespace {
@@ -121,6 +126,87 @@ TEST(GroupedEmPoolTest, GroupsByQuality) {
   EXPECT_EQ(pool.GroupQuality(0), 9u);  // descending
   EXPECT_EQ(pool.GroupQuality(1), 5u);
   EXPECT_EQ(pool.GroupQuality(2), 3u);
+}
+
+/// The order a comparison sort gives: candidate indices by descending
+/// quality, then ascending index.
+std::vector<uint32_t> ReferenceOrder(const std::vector<uint64_t>& qualities) {
+  std::vector<uint32_t> order(qualities.size());
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (qualities[a] != qualities[b]) return qualities[a] > qualities[b];
+    return a < b;
+  });
+  return order;
+}
+
+/// Checks the pool's groups against the reference order, then its member
+/// order: draining every group with TakeFrom must return exactly what
+/// the same swap-remove draws return on the reference order.
+void ExpectMatchesReference(const std::vector<uint64_t>& qualities) {
+  const GroupedEmPool probe(qualities);
+  const std::vector<uint32_t> order = ReferenceOrder(qualities);
+  size_t group = 0;
+  for (size_t begin = 0; begin < order.size(); ++group) {
+    size_t end = begin;
+    while (end < order.size() &&
+           qualities[order[end]] == qualities[order[begin]]) {
+      ++end;
+    }
+    ASSERT_LT(group, probe.NumGroups());
+    EXPECT_EQ(probe.GroupQuality(group), qualities[order[begin]]);
+    EXPECT_EQ(probe.GroupBegin(group), begin);
+    EXPECT_EQ(probe.GroupSize(group), end - begin);
+    begin = end;
+  }
+  EXPECT_EQ(probe.NumGroups(), group);
+
+  GroupedEmPool pool(qualities);
+  Rng pool_rng(99), reference_rng(99);
+  for (size_t g = 0; g < pool.NumGroups(); ++g) {
+    std::vector<uint32_t> members(
+        order.begin() + static_cast<std::ptrdiff_t>(pool.GroupBegin(g)),
+        order.begin() +
+            static_cast<std::ptrdiff_t>(pool.GroupBegin(g) + pool.GroupSize(g)));
+    while (!members.empty()) {
+      const size_t taken = pool.TakeFrom(g, pool_rng);
+      const size_t pick = reference_rng.UniformInt(members.size());
+      ASSERT_EQ(taken, members[pick]) << "group " << g;
+      members[pick] = members.back();
+      members.pop_back();
+    }
+  }
+  EXPECT_EQ(pool.NumRemaining(), 0u);
+}
+
+/// `n` qualities below 2^bits drawn from a pool of `distinct` values, so
+/// groups hold several members, plus the extremes of the range.
+std::vector<uint64_t> RandomQualities(size_t n, unsigned bits,
+                                      size_t distinct, uint64_t seed) {
+  Rng rng(seed);
+  const uint64_t limit = bits >= 64 ? UINT64_MAX : (uint64_t{1} << bits) - 1;
+  std::vector<uint64_t> values{0, limit};
+  while (values.size() < distinct) values.push_back(rng.Next() & limit);
+  std::vector<uint64_t> qualities(n);
+  for (uint64_t& q : qualities) q = values[rng.UniformInt(values.size())];
+  return qualities;
+}
+
+TEST(GroupedEmPoolTest, GroupingMatchesComparisonSort) {
+  ExpectMatchesReference({});
+  ExpectMatchesReference({42});
+  ExpectMatchesReference(std::vector<uint64_t>(100, 7));
+  ExpectMatchesReference(std::vector<uint64_t>(64, 0));
+  ExpectMatchesReference({0, 1, 0, 3, 0, 0, 2});
+  // Qualities at and around the 11-bit digit boundaries.
+  ExpectMatchesReference({2047, 2048, 2049, 0, 2048, 4194303, 4194304, 2047});
+  for (unsigned bits : {11u, 22u, 33u, 64u}) {
+    SCOPED_TRACE(bits);
+    ExpectMatchesReference(RandomQualities(3000, bits, 40, bits));
+    ExpectMatchesReference(RandomQualities(500, bits, 500, bits + 1));
+  }
+  ExpectMatchesReference({UINT64_MAX, 0, UINT64_MAX, UINT64_MAX - 1, 1,
+                          UINT64_MAX});
 }
 
 TEST(GroupedEmPoolTest, TakeFromRemovesMember) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <unordered_set>
 
+#include "common/cancel.h"
+#include "core/batch_exec.h"
 #include "data/synthetic.h"
+#include "data/vertical_index.h"
 #include "engine/engine.h"
 #include "fim/topk.h"
 #include "test_util.h"
@@ -14,6 +18,7 @@ namespace {
 
 using ::privbasis::testing::MakeDb;
 using ::privbasis::testing::MakeRandomDb;
+using ::privbasis::testing::RandomDbSpec;
 
 /// One PrivBasis query through the public entry point (Engine::Run),
 /// threading an external Rng so multi-release tests draw from one
@@ -113,6 +118,86 @@ TEST(CountPairSupportsTest, MatchesBruteForce) {
 TEST(CountPairSupportsTest, EmptyItems) {
   TransactionDatabase db = MakeDb({{0, 1}});
   EXPECT_TRUE(CountPairSupports(db, {}).empty());
+}
+
+TEST(CountPairSupportsTest, RepeatedAndOutOfUniverseItems) {
+  TransactionDatabase db = MakeRandomDb({.seed = 4, .universe = 10});
+  // Position 2 repeats item 2 and position 3 is outside the universe:
+  // every pair touching either stays 0.
+  const std::vector<Item> items{2, 5, 2, 99, 7};
+  const auto counts = CountPairSupports(db, items);
+  ASSERT_EQ(counts.size(), items.size() * items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    for (size_t j = i + 1; j < items.size(); ++j) {
+      const bool counted = i != 2 && j != 2 && i != 3 && j != 3;
+      EXPECT_EQ(counts[i * items.size() + j],
+                counted ? db.SupportOf(Itemset({items[i], items[j]})) : 0)
+          << i << "," << j;
+    }
+  }
+}
+
+/// A DirectCountExecutor whose index gives every occurring item a bitmap
+/// (density 0) or none (density 2).
+DirectCountExecutor MakeDirect(TransactionDatabase db, double density) {
+  auto shared = std::make_shared<const TransactionDatabase>(std::move(db));
+  VerticalIndex::Options options;
+  options.density_threshold = density;
+  auto index = std::make_shared<const VerticalIndex>(*shared, options);
+  return DirectCountExecutor(shared, index);
+}
+
+/// True when DirectCountExecutor::PairSupports counts `items` through
+/// the bitmaps rather than the scan.
+bool TakesBitmapPath(const TransactionDatabase& db, const VerticalIndex& index,
+                     const std::vector<Item>& items) {
+  const uint64_t m = items.size();
+  const uint64_t words = (db.NumTransactions() + 63) / 64;
+  for (Item it : items) {
+    if (!index.IsDense(it)) return false;
+  }
+  return m * (m - 1) / 2 * words < db.TotalItemOccurrences();
+}
+
+TEST(DirectPairSupportsTest, BothPathsMatchTheScan) {
+  const RandomDbSpec small{.seed = 5, .num_transactions = 300,
+                           .universe = 12, .item_prob = 0.5};
+  const RandomDbSpec wide{.seed = 6, .num_transactions = 640,
+                          .universe = 40, .item_prob = 0.3};
+  struct Case {
+    RandomDbSpec spec;
+    double density;
+    std::vector<Item> items;
+    bool bitmap_path;
+  };
+  std::vector<Item> many(24);
+  for (Item i = 0; i < 24; ++i) many[i] = i;
+  const std::vector<Case> cases = {
+      // Few pairs, all bitmaps: counted through the index (with a
+      // repeated item, which must stay 0 as in the scan).
+      {small, 0.0, {0, 3, 5, 7, 3, 1}, true},
+      // No bitmaps: the scan.
+      {small, 2.0, {0, 3, 5, 7, 3, 1}, false},
+      // All bitmaps, but more bitmap words than item occurrences: the scan.
+      {wide, 0.0, many, false},
+  };
+  for (const Case& c : cases) {
+    TransactionDatabase db = MakeRandomDb(c.spec);
+    VerticalIndex::Options options;
+    options.density_threshold = c.density;
+    ASSERT_EQ(TakesBitmapPath(db, VerticalIndex(db, options), c.items),
+              c.bitmap_path);
+    const std::vector<uint64_t> want = CountPairSupports(db, c.items);
+    const DirectCountExecutor exec = MakeDirect(std::move(db), c.density);
+    auto got = exec.PairSupports(c.items, nullptr);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, want) << "bitmap path " << c.bitmap_path;
+
+    CancelToken fired;
+    fired.Cancel();
+    EXPECT_EQ(exec.PairSupports(c.items, &fired).status().code(),
+              StatusCode::kCancelled);
+  }
 }
 
 TEST(PrivBasisQueryTest, ValidatesArguments) {

@@ -193,6 +193,26 @@ TEST(ServerTest, MalformedJsonIs400) {
   EXPECT_EQ(server->registry().size(), 0u);
 }
 
+TEST(ServerTest, BadBasisLengthIs400AndLedgerUntouched) {
+  auto server = StartServer();
+  auto dataset =
+      Dataset::Create(MakeRandomDb({.seed = 11}), {.total_epsilon = 1.0});
+  const std::string id = *server->registry().Register(dataset);
+  for (const char* pb : {"{\"max_basis_length\":2}",
+                         "{\"max_basis_length\":21}",
+                         "{\"single_basis_lambda_cap\":21}"}) {
+    int status = 0;
+    auto refused = Query(*server,
+                         "{\"dataset\":\"" + id +
+                             "\",\"k\":300,\"epsilon\":1,\"pb\":" + pb + "}",
+                         &status);
+    EXPECT_FALSE(refused.ok()) << pb;
+    EXPECT_EQ(status, 400) << pb;
+  }
+  EXPECT_EQ(dataset->accountant()->spent_epsilon(), 0.0);
+  EXPECT_TRUE(dataset->accountant()->ledger().empty());
+}
+
 TEST(ServerTest, OversizedBodyIs413) {
   ServerOptions options;
   options.max_body_bytes = 512;

@@ -64,22 +64,6 @@ TEST(TransactionDbTest, SupportOfItemset) {
   EXPECT_NEAR(db.FrequencyOf(Itemset({0, 1})), 0.5, 1e-12);
 }
 
-TEST(TransactionDbTest, ItemsByFrequency) {
-  TransactionDatabase db = MakeDb({{0, 2}, {2}, {1, 2}, {1}});
-  auto order = db.ItemsByFrequency();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 2u);  // support 3
-  EXPECT_EQ(order[1], 1u);  // support 2
-  EXPECT_EQ(order[2], 0u);  // support 1
-}
-
-TEST(TransactionDbTest, ItemsByFrequencyTieBreaksById) {
-  TransactionDatabase db = MakeDb({{0, 1}, {0, 1}});
-  auto order = db.ItemsByFrequency();
-  EXPECT_EQ(order[0], 0u);
-  EXPECT_EQ(order[1], 1u);
-}
-
 TEST(TransactionDbTest, ProjectOnto) {
   TransactionDatabase db = MakeDb({{0, 1, 2}, {1, 2}, {0}});
   TransactionDatabase projected = db.ProjectOnto(Itemset({1, 2}));
