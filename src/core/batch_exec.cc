@@ -72,8 +72,9 @@ Result<std::vector<std::vector<uint64_t>>> PairSupportsByBatch(
   for (const std::vector<Item>* items : lists) {
     const size_t m = items->size();
     std::vector<uint64_t> dense(m * m, 0);
-    ForEachCountedPair(*items,
-                       [&](size_t i, size_t j) { dense[i * m + j] = counts[pos++]; });
+    ForEachCountedPair(*items, [&](size_t i, size_t j) {
+      dense[i * m + j] = counts[pos++];
+    });
     out.push_back(std::move(dense));
   }
   return out;

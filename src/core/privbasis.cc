@@ -17,7 +17,8 @@ uint32_t GetLambda(const TransactionDatabase& db, uint64_t fk1_support,
                    double epsilon, Rng& rng) {
   // Quality of rank j (1-based): (1 − |f_itemj − θ|)·N = N − |c_j − θ·N|
   // in count units. Ranks sharing an item count share a quality, so we
-  // offer one Gumbel per group of equal counts, keyed by its first rank.
+  // offer one Gumbel per group of equal counts; a group's members are
+  // the ranks [GroupBegin, GroupBegin + GroupSize).
   const GroupedEmPool runs(db.ItemSupports());
   const double n = static_cast<double>(db.NumTransactions());
   const double theta_count = static_cast<double>(fk1_support);

@@ -164,10 +164,10 @@ void ExpectMatchesReference(const std::vector<uint64_t>& qualities) {
   GroupedEmPool pool(qualities);
   Rng pool_rng(99), reference_rng(99);
   for (size_t g = 0; g < pool.NumGroups(); ++g) {
+    const auto begin =
+        order.begin() + static_cast<std::ptrdiff_t>(pool.GroupBegin(g));
     std::vector<uint32_t> members(
-        order.begin() + static_cast<std::ptrdiff_t>(pool.GroupBegin(g)),
-        order.begin() +
-            static_cast<std::ptrdiff_t>(pool.GroupBegin(g) + pool.GroupSize(g)));
+        begin, begin + static_cast<std::ptrdiff_t>(pool.GroupSize(g)));
     while (!members.empty()) {
       const size_t taken = pool.TakeFrom(g, pool_rng);
       const size_t pick = reference_rng.UniformInt(members.size());
