@@ -202,7 +202,7 @@ void EventLoop::HandleReadable(uint64_t id, Conn& conn) {
         return;
       }
       if (!conn.in.empty()) {
-        // EOF mid-request — parity with the blocking reader's 400.
+        // EOF mid-request: the request is malformed (400).
         HttpResponse response =
             hooks_.error_response(HttpReadOutcome::kMalformed);
         response.close_connection = true;

@@ -172,56 +172,6 @@ HttpParseResult ParseHttpRequest(std::string* buffer,
   return result;
 }
 
-HttpReadOutcome ReadHttpRequest(const net::Fd& fd, const HttpLimits& limits,
-                                net::Deadline deadline, std::string* buffer,
-                                HttpRequest* request) {
-  char chunk[8192];
-  for (;;) {
-    const HttpParseResult parsed = ParseHttpRequest(buffer, limits, request);
-    switch (parsed.outcome) {
-      case HttpParseOutcome::kOk:
-        return HttpReadOutcome::kOk;
-      case HttpParseOutcome::kMalformed:
-        return HttpReadOutcome::kMalformed;
-      case HttpParseOutcome::kHeaderTooLarge:
-        return HttpReadOutcome::kHeaderTooLarge;
-      case HttpParseOutcome::kBodyTooLarge: {
-        // Drain the declared body (bounded) before the caller responds:
-        // closing with unread request bytes in flight sends a RST that
-        // can destroy the 413 before the client reads it. Beyond the
-        // cap the sender is abusive and just gets the reset.
-        constexpr size_t kDrainCap = 8 * 1024 * 1024;
-        size_t remaining = parsed.drain_bytes;
-        if (remaining <= kDrainCap) {
-          while (remaining > 0) {
-            auto n = net::ReadSome(fd, chunk,
-                                   std::min(sizeof(chunk), remaining),
-                                   deadline);
-            if (!n.ok() || *n == 0) break;
-            remaining -= *n;
-          }
-        }
-        return HttpReadOutcome::kBodyTooLarge;
-      }
-      case HttpParseOutcome::kNeedMore:
-        break;
-    }
-    auto n = net::ReadSome(fd, chunk, sizeof(chunk), deadline);
-    if (!n.ok()) {
-      return n.status().code() == StatusCode::kResourceExhausted
-                 ? (buffer->empty() ? HttpReadOutcome::kClosed
-                                    : HttpReadOutcome::kTimeout)
-                 : HttpReadOutcome::kIoError;
-    }
-    if (*n == 0) {
-      // EOF: clean between requests, malformed mid-request.
-      return buffer->empty() ? HttpReadOutcome::kClosed
-                             : HttpReadOutcome::kMalformed;
-    }
-    buffer->append(chunk, *n);
-  }
-}
-
 const char* HttpReasonPhrase(int status) {
   switch (status) {
     case 200: return "OK";

@@ -73,8 +73,8 @@ enum class HttpReadOutcome {
 
 /// How one non-blocking parse attempt over a byte buffer ended. The
 /// pure-buffer twin of HttpReadOutcome: no transport, no deadline —
-/// kNeedMore simply means "feed me more bytes", so both the blocking
-/// ReadHttpRequest and the epoll event loop share one parser.
+/// kNeedMore simply means "feed me more bytes", so the epoll event loop
+/// can feed it whatever bytes have arrived.
 enum class HttpParseOutcome {
   kNeedMore,        ///< incomplete; append more bytes and call again
   kOk,              ///< `request` is complete (consumed from the buffer)
@@ -99,13 +99,6 @@ struct HttpParseResult {
 HttpParseResult ParseHttpRequest(std::string* buffer,
                                  const HttpLimits& limits,
                                  HttpRequest* request);
-
-/// Reads one request from `fd` (appending to / consuming from `buffer`,
-/// which carries pipelined bytes between calls on a keep-alive
-/// connection). Blocks until a full request, a limit, or `deadline`.
-HttpReadOutcome ReadHttpRequest(const net::Fd& fd, const HttpLimits& limits,
-                                net::Deadline deadline, std::string* buffer,
-                                HttpRequest* request);
 
 /// Renders `response` as wire bytes (status line, Content-Type/Length
 /// framing — suppressed for 204 per RFC 7230 §3.3.2 — extra headers,
