@@ -19,6 +19,7 @@ namespace privbasis {
 namespace {
 
 using ::privbasis::bench::MakeFrequentItemBasis;
+using ::privbasis::bench::ScanExecutor;
 
 TransactionDatabase MakeDb() {
   SyntheticProfile profile = SyntheticProfile::Kosarak(0.05);
@@ -37,8 +38,11 @@ void BM_BasisFreqWidth(benchmark::State& state) {
   BasisSet basis =
       MakeFrequentItemBasis(db, static_cast<size_t>(state.range(0)), 6);
   Rng rng(1);
+  const DirectCountExecutor exec = ScanExecutor(db);
+  BasisFreqOptions options;
+  options.exec = &exec;
   for (auto _ : state) {
-    auto result = BasisFreq(db, basis, 100, 1.0, rng);
+    auto result = BasisFreq(db, basis, 100, 1.0, rng, nullptr, options);
     benchmark::DoNotOptimize(result);
   }
   state.SetComplexityN(state.range(0));
@@ -51,8 +55,11 @@ void BM_BasisFreqLength(benchmark::State& state) {
   BasisSet basis =
       MakeFrequentItemBasis(db, 4, static_cast<size_t>(state.range(0)));
   Rng rng(1);
+  const DirectCountExecutor exec = ScanExecutor(db);
+  BasisFreqOptions options;
+  options.exec = &exec;
   for (auto _ : state) {
-    auto result = BasisFreq(db, basis, 100, 1.0, rng);
+    auto result = BasisFreq(db, basis, 100, 1.0, rng, nullptr, options);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -63,7 +70,9 @@ void BM_SupersetSum(benchmark::State& state) {
   BasisSet basis =
       MakeFrequentItemBasis(db, 4, static_cast<size_t>(state.range(0)));
   Rng rng(1);
+  const DirectCountExecutor exec = ScanExecutor(db);
   BasisFreqOptions options;
+  options.exec = &exec;
   options.use_fast_superset_sum = state.range(1) != 0;
   for (auto _ : state) {
     auto result = BasisFreq(db, basis, 100, 1.0, rng, nullptr, options);
@@ -77,14 +86,16 @@ BENCHMARK(BM_SupersetSum)
     ->Args({12, 1});
 
 /// Sharded-scan scaling: same pipeline at increasing thread counts. The
-/// output is bit-identical across args (see BasisFreqOptions), so this
-/// isolates pure scan parallelism.
+/// output is bit-identical across args (see BasisFreqOptions::exec), so
+/// this isolates pure scan parallelism.
 void BM_BasisFreqThreads(benchmark::State& state) {
   const auto& db = Db();
   BasisSet basis = MakeFrequentItemBasis(db, 8, 8);
   Rng rng(1);
+  const DirectCountExecutor exec =
+      ScanExecutor(db, static_cast<size_t>(state.range(0)));
   BasisFreqOptions options;
-  options.num_threads = static_cast<size_t>(state.range(0));
+  options.exec = &exec;
   for (auto _ : state) {
     auto result = BasisFreq(db, basis, 100, 1.0, rng, nullptr, options);
     benchmark::DoNotOptimize(result);
@@ -155,10 +166,16 @@ BENCHMARK(BM_GetFreqElements)->Unit(benchmark::kMicrosecond);
 
 /// Step 3's exact pair supports through the dataset's count executor, at
 /// the λ of a k=50 (λ = 24, bitmap path) and a k=300 (λ = 61, scan)
-/// query; F is picked by the item mechanism as in a query.
+/// query; F is picked by the item mechanism as in a query. The index is
+/// built up front, as a server does at registration: the executor
+/// counts through existing bitmaps only.
 void BM_PairSupports(benchmark::State& state) {
-  static const std::shared_ptr<Dataset> dataset = Dataset::Borrow(Db());
-  const auto exec = dataset->EnsureCountExecutor();
+  static const std::shared_ptr<Dataset> dataset = [] {
+    auto borrowed = Dataset::Borrow(Db());
+    (void)borrowed->Index();
+    return borrowed;
+  }();
+  const auto exec = dataset->count_executor();
   const auto lambda = static_cast<size_t>(state.range(0));
   Rng rng(lambda);
   auto picks = GetFreqElements(Db().ItemSupports(), lambda, 0.2, true, rng);

@@ -22,6 +22,7 @@ namespace {
 
 using ::privbasis::bench::DenseQueries;
 using ::privbasis::bench::MakeFrequentItemBasis;
+using ::privbasis::bench::ScanExecutor;
 
 const TransactionDatabase& Kosarak() {
   static TransactionDatabase db = [] {
@@ -47,9 +48,11 @@ void BM_ScanThreads(benchmark::State& state) {
   const auto& db = Kosarak();
   BasisSet basis = MakeFrequentItemBasis(db, 8, 8);
   Rng rng(1);
+  const DirectCountExecutor exec =
+      ScanExecutor(db, static_cast<size_t>(state.range(0)));
   BasisFreqOptions options;
   options.inject_noise = false;
-  options.num_threads = static_cast<size_t>(state.range(0));
+  options.exec = &exec;
   for (auto _ : state) {
     auto result = BasisFreq(db, basis, 100, 1.0, rng, nullptr, options);
     benchmark::DoNotOptimize(result);

@@ -118,8 +118,10 @@ void RunSuite() {
   {
     BasisSet basis = MakeFrequentItemBasis(kosarak, 8, 8);
     Rng rng(1);
+    const DirectCountExecutor exec = ScanExecutor(kosarak);
     BasisFreqOptions options;
     options.inject_noise = false;
+    options.exec = &exec;
     TimePhase(
         "basis_freq_scan",
         [&] {

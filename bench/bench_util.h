@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/basis.h"
+#include "core/batch_exec.h"
 #include "data/transaction_db.h"
 
 namespace privbasis::bench {
@@ -60,6 +62,15 @@ inline BasisSet MakeFrequentItemBasis(const TransactionDatabase& db,
     basis.Add(Itemset(std::move(items)));
   }
   return basis;
+}
+
+/// A scan-only DirectCountExecutor over a caller-owned database, which
+/// must outlive it; BasisFreq counts through it.
+inline DirectCountExecutor ScanExecutor(const TransactionDatabase& db,
+                                        size_t num_threads = 0) {
+  return DirectCountExecutor(
+      std::shared_ptr<const TransactionDatabase>(&db, [](const auto*) {}),
+      nullptr, num_threads);
 }
 
 }  // namespace privbasis::bench

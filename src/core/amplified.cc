@@ -1,5 +1,9 @@
 #include "core/amplified.h"
 
+#include <memory>
+#include <utility>
+
+#include "core/batch_exec.h"
 #include "dp/amplification.h"
 
 namespace privbasis {
@@ -13,21 +17,28 @@ Result<PrivBasisResult> RunPrivBasisSubsampledImpl(
     return Status::InvalidArgument("epsilon must be > 0");
   }
   const double q = options.sampling_rate;
-  PRIVBASIS_ASSIGN_OR_RETURN(TransactionDatabase sample,
+  PRIVBASIS_ASSIGN_OR_RETURN(TransactionDatabase drawn,
                              PoissonSubsample(db, q, rng));
-  if (sample.NumTransactions() == 0) {
+  if (drawn.NumTransactions() == 0) {
     return Status::FailedPrecondition(
         "subsample is empty; raise sampling_rate or dataset size");
   }
+  const auto sample =
+      std::make_shared<const TransactionDatabase>(std::move(drawn));
   const double mechanism_epsilon = MechanismEpsilonForTarget(q, epsilon);
   PrivBasisOptions base = options.base;
-  base.fk1_support_hint = 0;  // must be computed on the subsample
+  // The fk1 hint and any inherited executor would read the full
+  // dataset. The subsample mines its own margin and counts through its
+  // own scan-only executor (an index would cost a pass per query).
+  base.fk1_support_hint = 0;
+  const DirectCountExecutor exec(sample);
+  base.exec = &exec;
   // The subsample run spends against its own mechanism-budget ledger;
   // only the amplified end-to-end ε is charged to the caller's.
   PrivacyAccountant mechanism_accountant(mechanism_epsilon);
   PRIVBASIS_ASSIGN_OR_RETURN(
       PrivBasisResult result,
-      RunPrivBasisImpl(sample, k, mechanism_epsilon, rng, base,
+      RunPrivBasisImpl(*sample, k, mechanism_epsilon, rng, base,
                        mechanism_accountant));
   // Rescale counts from the subsample to the full dataset.
   for (auto& itemset : result.topk) {

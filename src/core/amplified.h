@@ -26,10 +26,11 @@ namespace detail {
 /// The subsample run meters ε' against an inner ledger, and the
 /// amplified end-to-end guarantee ln(1 + q·(e^{ε'_spent} − 1)) — never
 /// more than the target `epsilon` — is charged to `accountant` as one
-/// entry, so reported spend always equals metered spend. The fk1 hint in
-/// `options.base` is ignored (it would leak the full dataset's
-/// statistics into the subsample run); the subsample's own top-k margin
-/// is mined instead.
+/// entry, so reported spend always equals metered spend. The fk1 hint
+/// and the executor in `options.base` are ignored: both would leak the
+/// full dataset's statistics into the subsample run. The subsample's own
+/// top-k margin is mined instead, and its counts come from a scan-only
+/// DirectCountExecutor over the subsample.
 Result<PrivBasisResult> RunPrivBasisSubsampledImpl(
     const TransactionDatabase& db, size_t k, double epsilon, Rng& rng,
     const AmplifiedOptions& options, PrivacyAccountant& accountant);

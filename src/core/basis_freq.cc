@@ -220,13 +220,17 @@ Result<std::vector<std::vector<uint64_t>>> CountBasisBins(
   return bins;
 }
 
-Result<BasisFreqResult> BasisFreq(const TransactionDatabase& db,
+// `db` is unused: the executor holds the data (see basis_freq.h).
+Result<BasisFreqResult> BasisFreq(const TransactionDatabase& /*db*/,
                                   const BasisSet& basis_set, size_t k,
                                   double epsilon, Rng& rng,
                                   PrivacyAccountant* accountant,
                                   const BasisFreqOptions& options) {
   if (!(epsilon > 0.0)) {
     return Status::InvalidArgument("epsilon must be > 0");
+  }
+  if (options.exec == nullptr) {
+    return Status::InvalidArgument("BasisFreq needs a CountExecutor");
   }
   if (basis_set.Length() > options.max_basis_length) {
     return Status::InvalidArgument(
@@ -241,17 +245,13 @@ Result<BasisFreqResult> BasisFreq(const TransactionDatabase& db,
   BasisFreqResult result;
   if (w == 0) return result;
 
-  // Lines 7–11 run FIRST: the exact bin counts — locally, or scattered
-  // across shards through the executor and merged by integer addition.
-  // Counting consumes no randomness, so hoisting it above the noise
-  // draws leaves the RNG stream untouched and the release bit-identical
-  // at any shard count.
+  // Lines 7–11 run FIRST: the executor's exact bin counts, merged by
+  // integer addition when it is sharded. Counting consumes no
+  // randomness, so hoisting it above the noise draws leaves the RNG
+  // stream untouched and the release bit-identical at any shard count.
   PRIVBASIS_ASSIGN_OR_RETURN(
       std::vector<std::vector<uint64_t>> counts,
-      options.exec != nullptr
-          ? options.exec->BasisBinCounts(basis_set, options.cancel)
-          : CountBasisBins(db, basis_set, options.num_threads,
-                           options.cancel));
+      options.exec->BasisBinCounts(basis_set, options.cancel));
   if (counts.size() != w) {
     return Status::Internal("executor returned " +
                             std::to_string(counts.size()) +

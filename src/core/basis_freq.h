@@ -34,20 +34,17 @@ struct BasisFreqOptions {
   bool use_fast_superset_sum = true;
   /// Hard cap on basis length — 2^len bins are materialized per basis.
   size_t max_basis_length = 20;
-  /// Transaction-scan parallelism; 0 = the PRIVBASIS_THREADS env knob.
-  /// The output is bit-identical at every thread count: shards reduce
-  /// exact integer counts and the sequential floating-point accumulation
-  /// is replayed before noise-side processing.
-  size_t num_threads = 0;
-  /// Cooperative cancellation: the scan polls once per transaction chunk
-  /// and unwinds with kCancelled within one shard-chunk of the token
+  /// Cooperative cancellation, handed to the executor's bin count, which
+  /// unwinds with kCancelled within one transaction chunk of the token
   /// firing. nullptr = not cancellable. Note the epsilon consumed from
   /// `accountant` stays consumed — it was reserved before the scan.
   const CancelToken* cancel = nullptr;
-  /// Scatter-gather seam: when set, the exact bin counts come from
-  /// `exec->BasisBinCounts` (merged across shards) instead of a local
-  /// scan of `db`. Bit-identical either way — the scan consumes no
-  /// randomness, so the post-merge noise draws are unchanged.
+  /// Where the exact bin counts come from (`exec->BasisBinCounts`, merged
+  /// across shards when the executor is sharded). Required: BasisFreq
+  /// fails with kInvalidArgument before consuming any ε when it is null.
+  /// The executor owns the scan parallelism; the release is
+  /// bit-identical at every shard and thread count, because the count
+  /// consumes no randomness and the noise is drawn after the merge.
   const CountExecutor* exec = nullptr;
 };
 
@@ -60,8 +57,8 @@ struct BasisFreqResult {
   size_t num_candidates = 0;
 };
 
-/// The exact-counting half of Algorithm 1, exposed so shard workers can
-/// run it on their slice: out[i][mask] = number of transactions whose
+/// The exact-counting half of Algorithm 1, run by the executors on
+/// their database or slice: out[i][mask] = number of transactions whose
 /// intersection with basis i is exactly the subset `mask` encodes
 /// (out[i] has 2^|Bi| entries). Consumes no randomness and merges
 /// across horizontal partitions by plain integer addition. `num_threads`
@@ -71,9 +68,12 @@ Result<std::vector<std::vector<uint64_t>>> CountBasisBins(
     const TransactionDatabase& db, const BasisSet& basis_set,
     size_t num_threads = 0, const CancelToken* cancel = nullptr);
 
-/// Runs Algorithm 1 with privacy budget `epsilon`. If `accountant` is
-/// non-null, `epsilon` is charged to it (fails when the budget is
-/// exhausted). `k` = 0 returns every candidate instead of the top k.
+/// Runs Algorithm 1 with privacy budget `epsilon`, counting through
+/// `options.exec`. If `accountant` is non-null, `epsilon` is charged to
+/// it (fails when the budget is exhausted). `k` = 0 returns every
+/// candidate instead of the top k. `db` is not read — the executor
+/// holds the data — and stays in the signature for the stage replay in
+/// perfbench/src/trace.cc.
 Result<BasisFreqResult> BasisFreq(const TransactionDatabase& db,
                                   const BasisSet& basis_set, size_t k,
                                   double epsilon, Rng& rng,

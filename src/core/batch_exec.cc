@@ -93,20 +93,26 @@ Result<std::vector<uint64_t>> DirectCountExecutor::PairSupports(
     const std::vector<Item>& items, const CancelToken* cancel) const {
   // A bitmap pair costs one AND + popcount pass over N/64 words; the
   // scan costs one pass over every item occurrence. Count through the
-  // bitmaps when every item has one and that is the smaller pass.
+  // bitmaps when every item has one and that is the smaller pass. An
+  // index that is not built yet would first cost a pass over every
+  // occurrence to build, more than the scan it replaces, so only an
+  // existing one is used.
   const size_t m = items.size();
   const uint64_t pairs = m < 2 ? 0 : uint64_t{m} * (m - 1) / 2;
-  const uint64_t words = (index_->NumTransactions() + 63) / 64;
-  const bool all_dense = std::all_of(items.begin(), items.end(), [&](Item it) {
-    return index_->IsDense(it);
-  });
-  if (all_dense && pairs * words < db_->TotalItemOccurrences()) {
-    PRIVBASIS_ASSIGN_OR_RETURN(
-        std::vector<std::vector<uint64_t>> dense,
-        PairSupportsByBatch({&items}, [&](std::span<const Itemset> queries) {
-          return SupportOfMany(queries, cancel);
-        }));
-    return std::move(dense[0]);
+  const uint64_t words = (db_->NumTransactions() + 63) / 64;
+  if (index_ != nullptr && pairs * words < db_->TotalItemOccurrences()) {
+    const std::shared_ptr<const VerticalIndex> index =
+        index_(/*build=*/false);
+    if (index != nullptr &&
+        std::all_of(items.begin(), items.end(),
+                    [&](Item it) { return index->IsDense(it); })) {
+      PRIVBASIS_ASSIGN_OR_RETURN(
+          std::vector<std::vector<uint64_t>> dense,
+          PairSupportsByBatch({&items}, [&](std::span<const Itemset> queries) {
+            return SupportsFromIndex(*index, queries, cancel);
+          }));
+      return std::move(dense[0]);
+    }
   }
   std::vector<uint64_t> counts = CountPairSupports(*db_, items, cancel);
   if (IsCancelled(cancel)) {
@@ -117,8 +123,20 @@ Result<std::vector<uint64_t>> DirectCountExecutor::PairSupports(
 
 Result<std::vector<uint64_t>> DirectCountExecutor::SupportOfMany(
     std::span<const Itemset> queries, const CancelToken* cancel) const {
+  std::shared_ptr<const VerticalIndex> index =
+      index_ != nullptr ? index_(/*build=*/true) : nullptr;
+  if (index == nullptr) {
+    index = std::make_shared<const VerticalIndex>(
+        *db_, VerticalIndex::Options{.num_threads = num_threads_});
+  }
+  return SupportsFromIndex(*index, queries, cancel);
+}
+
+Result<std::vector<uint64_t>> DirectCountExecutor::SupportsFromIndex(
+    const VerticalIndex& index, std::span<const Itemset> queries,
+    const CancelToken* cancel) const {
   std::vector<uint64_t> counts =
-      index_->SupportOfMany(queries, num_threads_, cancel);
+      index.SupportOfMany(queries, num_threads_, cancel);
   if (IsCancelled(cancel)) {
     return Status::Cancelled("batch support cancelled mid-scan");
   }

@@ -19,19 +19,19 @@
 // fired during a shared scan gets kCancelled even when the scan
 // finished — fail-closed either way.
 //
-// DirectCountExecutor adapts the unsharded direct-scan path (the same
-// CountBasisBins / CountPairSupports / VerticalIndex::SupportOfMany
-// calls the mechanisms make when no executor is attached) to the
-// CountExecutor interface, so batching composes with fanout 1 as well
-// as with the sharded executors. Its pair supports come from the
-// VerticalIndex bitmaps instead of a scan when every item has a bitmap
-// and the pairs' bitmap words are fewer than the item occurrences; the
-// counts are exact either way.
+// DirectCountExecutor counts on one unsharded database: the BasisFreq
+// bin scan, the pair scan and VerticalIndex batch supports. It is what
+// every unsharded query counts through, and batching wraps it like any
+// other executor. Its pair supports come from the VerticalIndex bitmaps
+// instead of a scan when the index is already built, every item has a
+// bitmap and the pairs' bitmap words are fewer than the item
+// occurrences; the counts are exact either way.
 #ifndef PRIVBASIS_CORE_BATCH_EXEC_H_
 #define PRIVBASIS_CORE_BATCH_EXEC_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -50,15 +50,21 @@ struct BatchStats {
   std::atomic<uint64_t> scans_saved{0};      ///< Σ over batches of (n − 1)
 };
 
-/// The unsharded direct-scan path behind the CountExecutor interface:
-/// every op returns exactly the counts the mechanisms compute when no
-/// executor is attached, so attaching this executor never changes a
-/// release bit.
+/// Exact counts over one unsharded database.
 class DirectCountExecutor : public CountExecutor {
  public:
+  /// Where the executor finds a VerticalIndex over the same database.
+  /// Called with `build` false it returns the index only if it already
+  /// exists, else nullptr; with `build` true it builds it on first use.
+  /// It may return nullptr either way (the owner is gone).
+  using IndexSource =
+      std::function<std::shared_ptr<const VerticalIndex>(bool build)>;
+
+  /// An empty `index` makes the executor scan-only: pair supports always
+  /// scan, and SupportOfMany builds a throwaway index per call.
+  /// `num_threads` bounds the scans (0 = the PRIVBASIS_THREADS env knob).
   DirectCountExecutor(std::shared_ptr<const TransactionDatabase> db,
-                      std::shared_ptr<const VerticalIndex> index,
-                      size_t num_threads = 0)
+                      IndexSource index = nullptr, size_t num_threads = 0)
       : db_(std::move(db)),
         index_(std::move(index)),
         num_threads_(num_threads) {}
@@ -76,8 +82,12 @@ class DirectCountExecutor : public CountExecutor {
       const CancelToken* cancel) const override;
 
  private:
+  Result<std::vector<uint64_t>> SupportsFromIndex(
+      const VerticalIndex& index, std::span<const Itemset> queries,
+      const CancelToken* cancel) const;
+
   std::shared_ptr<const TransactionDatabase> db_;
-  std::shared_ptr<const VerticalIndex> index_;
+  IndexSource index_;
   size_t num_threads_;
 };
 

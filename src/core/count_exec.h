@@ -10,10 +10,15 @@
 // any shard count, because the noise is drawn once, from the merged
 // counts, by the unchanged RNG stream.
 //
-// Implementations (src/shard): LocalShardExecutor fans the scan over an
-// in-process ShardedDatabase; RemoteShardExecutor scatters to
-// privbasis_shardd worker processes over the length-prefixed wire
-// protocol. The interface lives in src/core (not src/shard) because the
+// It is the only way a query reads exact counts: the mechanisms require
+// an executor and never scan the database themselves. Implementations:
+// DirectCountExecutor (core/batch_exec.h) counts one unsharded database
+// — every unsharded Dataset and every Poisson subsample gets one;
+// LocalShardExecutor (src/shard) fans the scan over an in-process
+// ShardedDatabase; RemoteShardExecutor scatters to privbasis_shardd
+// worker processes over the length-prefixed wire protocol; and
+// BatchingCountExecutor fuses concurrent queries' calls into one inner
+// call. The interface lives in src/core (not src/shard) because the
 // mechanisms must be able to call through it without core depending on
 // the shard subsystem.
 //

@@ -132,6 +132,9 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
   if (db.NumTransactions() == 0 || db.UniverseSize() == 0) {
     return Status::InvalidArgument("empty database");
   }
+  if (options.exec == nullptr) {
+    return Status::InvalidArgument("PrivBasis needs a CountExecutor");
+  }
 
   PrivBasisResult result;
 
@@ -204,20 +207,13 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
     // Step 3: the λ2 most frequent pairs within F.
     std::vector<Itemset> p;
     if (lambda2_count > 0 && f.size() >= 2) {
-      std::vector<uint64_t> pair_counts;
-      if (options.exec != nullptr) {
-        PRIVBASIS_ASSIGN_OR_RETURN(
-            pair_counts, options.exec->PairSupports(f, options.cancel));
-        if (pair_counts.size() != f.size() * f.size()) {
-          return Status::Internal(
-              "executor returned " + std::to_string(pair_counts.size()) +
-              " pair counts for " + std::to_string(f.size()) + " items");
-        }
-      } else {
-        pair_counts = CountPairSupports(db, f, options.cancel);
-        if (IsCancelled(options.cancel)) {
-          return Status::Cancelled("pair counting cancelled mid-scan");
-        }
+      PRIVBASIS_ASSIGN_OR_RETURN(
+          std::vector<uint64_t> pair_counts,
+          options.exec->PairSupports(f, options.cancel));
+      if (pair_counts.size() != f.size() * f.size()) {
+        return Status::Internal(
+            "executor returned " + std::to_string(pair_counts.size()) +
+            " pair counts for " + std::to_string(f.size()) + " items");
       }
       std::vector<std::pair<uint32_t, uint32_t>> pair_index;
       std::vector<uint64_t> qualities;
@@ -253,7 +249,8 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
 
   // Step 5: noisy counts over C(B) and top-k selection.
   BasisFreqOptions bf_options = options.basis_freq;
-  if (bf_options.exec == nullptr) bf_options.exec = options.exec;
+  bf_options.cancel = options.cancel;
+  bf_options.exec = options.exec;
   PRIVBASIS_ASSIGN_OR_RETURN(
       BasisFreqResult bf,
       BasisFreq(db, result.basis_set, k, alpha3_eps, rng, &accountant,

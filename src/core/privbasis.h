@@ -56,17 +56,18 @@ struct PrivBasisOptions {
   /// 0 = compute internally. Using it changes nothing statistically —
   /// it is the same data-dependent quantity either way.
   uint64_t fk1_support_hint = 0;
-  /// Cooperative cancellation for the non-BasisFreq scans (the fk1 mine
-  /// and pair counting); the Engine also mirrors this into
-  /// basis_freq.cancel. nullptr = not cancellable.
+  /// Cooperative cancellation for every scan of the run (the fk1 mine,
+  /// pair counting, construction rounds and the BasisFreq bin count).
+  /// nullptr = not cancellable.
   const CancelToken* cancel = nullptr;
-  /// Scatter-gather seam (core/count_exec.h): when set, the exact pair
-  /// supports of step 3 and the BasisFreq bin counts of step 5 come from
-  /// the executor's merged per-shard counts instead of local scans.
-  /// Bit-identical either way; mining (the fk1 hint) and the item-support
-  /// scan stay on the caller, which retains the full database. Mirrored
-  /// into basis_freq.exec when that is unset.
+  /// The counting seam (core/count_exec.h): the exact pair supports of
+  /// step 3 and the BasisFreq bin counts of step 5 come from this
+  /// executor. Required: a run without one fails with kInvalidArgument
+  /// before any ε is consumed. Mining (the fk1 hint) and the item
+  /// supports stay on the caller, which holds the full database.
   const CountExecutor* exec = nullptr;
+  /// BasisFreq tuning; its `cancel` and `exec` are replaced by the two
+  /// fields above.
   BasisFreqOptions basis_freq;
 };
 
@@ -129,7 +130,8 @@ Result<std::vector<size_t>> GetFreqElements(
 /// only (pairs touching a later copy stay 0), and items outside the
 /// universe count 0. A fired `cancel` token stops the scan within one
 /// transaction chunk and returns the partial counts — the caller must
-/// check the token and discard them (RunPrivBasisImpl does).
+/// check the token and discard them. The mechanism reaches it only
+/// through a CountExecutor (core/batch_exec.h, src/shard).
 std::vector<uint64_t> CountPairSupports(const TransactionDatabase& db,
                                         const std::vector<Item>& items,
                                         const CancelToken* cancel = nullptr);

@@ -75,56 +75,46 @@ std::shared_ptr<const VerticalIndex> Dataset::Index() const {
 
 std::shared_ptr<const CountExecutor> Dataset::count_executor() const {
   MutexLock lock(executor_.mu);
-  if (!executor_.built) {
-    if (resolved_shards_ <= 1) {
-      // Unsharded: mechanisms scan db() directly. Cache the nullptr so
-      // repeated queries skip the shard-count check.
-      executor_.value = nullptr;
-    } else {
-      shard_builds_.fetch_add(1, std::memory_order_relaxed);
-      auto partitioned = ShardedDatabase::Create(*db_, resolved_shards_);
-      // Create() fails only on zero shards, which resolved_shards_ can
-      // never be; fall back to unsharded rather than crash regardless.
-      if (partitioned.ok()) {
-        executor_.value = std::make_shared<const LocalShardExecutor>(
-            std::make_shared<const ShardedDatabase>(std::move(*partitioned)),
-            options_.num_threads);
-      } else {
-        executor_.value = nullptr;
-      }
+  if (executor_.built) return executor_.value;
+  if (resolved_shards_ > 1) {
+    shard_builds_.fetch_add(1, std::memory_order_relaxed);
+    // Create() fails only on zero shards, which resolved_shards_ can
+    // never be; fall back to unsharded rather than crash regardless.
+    auto partitioned = ShardedDatabase::Create(*db_, resolved_shards_);
+    if (partitioned.ok()) {
+      executor_.value = std::make_shared<const LocalShardExecutor>(
+          std::make_shared<const ShardedDatabase>(std::move(*partitioned)),
+          options_.num_threads);
     }
-    executor_.built = true;
   }
-  return executor_.value;
-}
-
-std::shared_ptr<const CountExecutor> Dataset::EnsureCountExecutor() const {
-  std::shared_ptr<const CountExecutor> exec = count_executor();
-  if (exec != nullptr) return exec;
-  // Unsharded: adapt the direct-scan path. Build the index OUTSIDE the
-  // executor lock (Index() takes its own cell lock).
-  std::shared_ptr<const VerticalIndex> index = Index();
-  MutexLock lock(executor_.mu);
   if (executor_.value == nullptr) {
+    // The index source holds the handle weakly: an executor that
+    // outlives the Dataset just stops seeing its index.
+    auto index = [weak = weak_from_this()](
+                     bool build) -> std::shared_ptr<const VerticalIndex> {
+      const std::shared_ptr<const Dataset> self = weak.lock();
+      if (self == nullptr) return nullptr;
+      if (build) return self->Index();
+      MutexLock index_lock(self->index_.mu);
+      return self->index_.value;  // nullptr until built
+    };
     executor_.value = std::make_shared<const DirectCountExecutor>(
         db_, std::move(index), options_.num_threads);
-    executor_.built = true;
   }
+  executor_.built = true;
   return executor_.value;
 }
 
 void Dataset::AttachCountExecutor(std::shared_ptr<const CountExecutor> exec) {
   MutexLock lock(executor_.mu);
+  executor_.built = exec != nullptr;
   executor_.value = std::move(exec);
-  executor_.built = true;
 }
 
 size_t Dataset::shard_fanout() const {
   {
     MutexLock lock(executor_.mu);
-    if (executor_.built) {
-      return executor_.value != nullptr ? executor_.value->NumShards() : 1;
-    }
+    if (executor_.built) return executor_.value->NumShards();
   }
   // Not built yet: report what the lazy build would produce, without
   // forcing the (potentially expensive) partitioning from the admission

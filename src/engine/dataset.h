@@ -1,8 +1,9 @@
 // Dataset: an immutable, shared_ptr-shared handle over one
 // TransactionDatabase plus everything expensive that queries against it
-// keep re-deriving — dataset statistics, the VerticalIndex, the exact
-// top-k margin supports PrivBasis needs for its fk1 hint, full ground
-// truth for evaluation, and prepared TfRunner instances.
+// keep re-deriving — dataset statistics, the VerticalIndex, the count
+// executor every query counts through, the exact top-k margin supports
+// PrivBasis needs for its fk1 hint, full ground truth for evaluation,
+// and prepared TfRunner instances.
 //
 // All of it is built lazily and memoized thread-safely, so a service
 // holding one Dataset pays the data-dependent setup cost ONCE and every
@@ -60,7 +61,7 @@ struct DatasetOptions {
   size_t num_shards = 0;
 };
 
-class Dataset {
+class Dataset : public std::enable_shared_from_this<Dataset> {
  public:
   using Options = DatasetOptions;
 
@@ -99,29 +100,29 @@ class Dataset {
   /// Memoized hybrid tid-list index (built on first use).
   std::shared_ptr<const VerticalIndex> Index() const;
 
-  /// The scatter-gather executor queries on this dataset count through:
-  /// the attached one (coordinator mode), else a lazily built in-process
-  /// LocalShardExecutor when the effective shard count exceeds 1, else
-  /// nullptr (unsharded — mechanisms scan `db()` directly). Memoized;
-  /// the handle keeps the returned executor alive.
+  /// The executor every query on this dataset counts through: the
+  /// attached one (coordinator mode), else a lazily built in-process
+  /// LocalShardExecutor when the effective shard count exceeds 1, else a
+  /// lazily built DirectCountExecutor over db(). Never nullptr. The
+  /// direct executor counts pairs through Index() only once something
+  /// else has built it, so a query never builds the index itself.
+  /// Memoized; the handle keeps the returned executor alive.
   std::shared_ptr<const CountExecutor> count_executor() const;
 
-  /// Like count_executor(), but never nullptr: when the dataset is
-  /// unsharded it lazily builds (and memoizes) a DirectCountExecutor
-  /// over db() + Index() — the exact functions the mechanisms call when
-  /// no executor is attached, so routing counts through it never
-  /// changes a release bit. The batching layer wraps this so it can
-  /// fuse scans regardless of fan-out.
-  std::shared_ptr<const CountExecutor> EnsureCountExecutor() const;
+  /// Same as count_executor().
+  std::shared_ptr<const CountExecutor> EnsureCountExecutor() const {
+    return count_executor();
+  }
 
   /// Installs an externally built executor (the server's coordinator
   /// attaches a RemoteShardExecutor over its worker fleet at dataset
   /// registration). Replaces any previously built/attached executor;
-  /// meant to be called before the dataset serves queries.
+  /// meant to be called before the dataset serves queries. Attaching
+  /// nullptr restores the lazily built default.
   void AttachCountExecutor(std::shared_ptr<const CountExecutor> exec);
 
-  /// Effective counting fan-out: the executor's shard count, or 1 when
-  /// unsharded. The admission cost model divides predicted work by this.
+  /// Effective counting fan-out: the executor's shard count (1 when
+  /// unsharded). The admission cost model divides predicted work by this.
   size_t shard_fanout() const;
 
   /// Memoized support of the ⌈η·k⌉-th most frequent itemset — the

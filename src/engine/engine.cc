@@ -39,16 +39,12 @@ Result<PreparedQuery> Prepare(const Dataset& dataset, const QuerySpec& spec) {
             prepared.pb.fk1_support_hint,
             dataset.MarginSupport(spec.k, prepared.pb.eta, spec.cancel));
       }
-      // Thread the query's token into every mechanism scan — the
-      // PrivBasis-level scans (fk1 mine, pair counting) and the final
-      // BasisFreq pass each poll it once per work chunk.
+      // Every mechanism scan polls the query's token.
       prepared.pb.cancel = spec.cancel;
-      prepared.pb.basis_freq.cancel = spec.cancel;
-      // Route counting scans through the dataset's scatter-gather
-      // executor (nullptr when unsharded). The subsampled path scans a
-      // fresh subsample database, which the dataset's shards don't
-      // cover, so it stays on the direct path. The raw pointer is owned
-      // by the Dataset's memoized cell, which outlives this run.
+      // Full-data queries count through the dataset's executor unless
+      // the caller set one; the subsampled path counts its own
+      // subsample. The Dataset's memoized cell owns the executor, and
+      // `prepared.exec` keeps it alive for this run.
       if (spec.sampling_rate >= 1.0 && prepared.pb.exec == nullptr) {
         prepared.exec = dataset.count_executor();
         prepared.pb.exec = prepared.exec.get();

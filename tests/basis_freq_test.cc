@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "data/vertical_index.h"
+#include "bench_util.h"
 #include "test_util.h"
 
 namespace privbasis {
@@ -12,6 +13,18 @@ namespace {
 
 using ::privbasis::testing::MakeDb;
 using ::privbasis::testing::MakeRandomDb;
+using ::privbasis::bench::ScanExecutor;
+
+/// BasisFreq counting through a scan-only executor over `db`.
+Result<BasisFreqResult> RunBasisFreq(const TransactionDatabase& db,
+                                     const BasisSet& basis, size_t k,
+                                     double epsilon, Rng& rng,
+                                     PrivacyAccountant* accountant = nullptr,
+                                     BasisFreqOptions options = {}) {
+  const DirectCountExecutor exec = ScanExecutor(db);
+  options.exec = &exec;
+  return BasisFreq(db, basis, k, epsilon, rng, accountant, options);
+}
 
 BasisFreqOptions NoNoise() {
   BasisFreqOptions options;
@@ -23,7 +36,7 @@ TEST(BasisFreqTest, ExactCountsWithoutNoise) {
   TransactionDatabase db = MakeDb({{0, 1, 2}, {0, 1}, {1, 2}, {0}});
   BasisSet basis({Itemset({0, 1, 2})});
   Rng rng(1);
-  auto result = BasisFreq(db, basis, /*k=*/0, 1.0, rng, nullptr, NoNoise());
+  auto result = RunBasisFreq(db, basis, /*k=*/0, 1.0, rng, nullptr, NoNoise());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_candidates, 7u);
   VerticalIndex index(db);
@@ -61,7 +74,7 @@ TEST_P(BasisFreqExactnessTest, AllCandidatesExact) {
   BasisFreqOptions options = NoNoise();
   options.use_fast_superset_sum = param.fast;
   Rng rng(param.seed);
-  auto result = BasisFreq(db, basis, 0, 1.0, rng, nullptr, options);
+  auto result = RunBasisFreq(db, basis, 0, 1.0, rng, nullptr, options);
   ASSERT_TRUE(result.ok());
   ASSERT_GT(result->num_candidates, 0u);
   VerticalIndex index(db);
@@ -86,8 +99,8 @@ TEST(BasisFreqTest, FastAndNaiveSupersetSumsAgreeWithNoise) {
   BasisFreqOptions fast, naive;
   naive.use_fast_superset_sum = false;
   Rng rng1(42), rng2(42);
-  auto a = BasisFreq(db, basis, 0, 1.0, rng1, nullptr, fast);
-  auto b = BasisFreq(db, basis, 0, 1.0, rng2, nullptr, naive);
+  auto a = RunBasisFreq(db, basis, 0, 1.0, rng1, nullptr, fast);
+  auto b = RunBasisFreq(db, basis, 0, 1.0, rng2, nullptr, naive);
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_EQ(a->topk.size(), b->topk.size());
   for (size_t i = 0; i < a->topk.size(); ++i) {
@@ -100,7 +113,7 @@ TEST(BasisFreqTest, TopKSelectsHighestExactCountsWithoutNoise) {
   TransactionDatabase db = MakeDb({{0, 1}, {0, 1}, {0, 1, 2}, {2}});
   BasisSet basis({Itemset({0, 1, 2})});
   Rng rng(7);
-  auto result = BasisFreq(db, basis, 2, 1.0, rng, nullptr, NoNoise());
+  auto result = RunBasisFreq(db, basis, 2, 1.0, rng, nullptr, NoNoise());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->topk.size(), 2u);
   // Counts: {0}=3 {1}=3 {0,1}=3 {2}=2 ... tie-break: shorter, then lex.
@@ -112,7 +125,7 @@ TEST(BasisFreqTest, OverlappingBasesFuseToOneEstimatePerItemset) {
   TransactionDatabase db = MakeDb({{0, 1, 2, 3}, {0, 1}, {2, 3}});
   BasisSet basis({Itemset({0, 1, 2}), Itemset({1, 2, 3})});
   Rng rng(9);
-  auto result = BasisFreq(db, basis, 0, 1.0, rng, nullptr, NoNoise());
+  auto result = RunBasisFreq(db, basis, 0, 1.0, rng, nullptr, NoNoise());
   ASSERT_TRUE(result.ok());
   // Candidates: subsets of either basis, deduplicated: 7 + 7 − 3 = 11.
   EXPECT_EQ(result->num_candidates, 11u);
@@ -135,7 +148,7 @@ TEST(BasisFreqTest, NoiseMagnitudeMatchesEquation4) {
   double sum = 0, sum_sq = 0;
   const int trials = 30000;
   for (int t = 0; t < trials; ++t) {
-    auto result = BasisFreq(db, basis, 0, epsilon, rng);
+    auto result = RunBasisFreq(db, basis, 0, epsilon, rng);
     ASSERT_TRUE(result.ok());
     for (const auto& c : result->topk) {
       if (c.items == target) {
@@ -157,11 +170,11 @@ TEST(BasisFreqTest, ChargesAccountant) {
   BasisSet basis({Itemset({0})});
   PrivacyAccountant accountant(1.0);
   Rng rng(13);
-  auto result = BasisFreq(db, basis, 1, 0.6, rng, &accountant);
+  auto result = RunBasisFreq(db, basis, 1, 0.6, rng, &accountant);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(accountant.spent_epsilon(), 0.6, 1e-12);
   // Second call exceeding the budget must fail.
-  auto over = BasisFreq(db, basis, 1, 0.6, rng, &accountant);
+  auto over = RunBasisFreq(db, basis, 1, 0.6, rng, &accountant);
   EXPECT_FALSE(over.ok());
 }
 
@@ -171,20 +184,32 @@ TEST(BasisFreqTest, RejectsExcessiveBasisLength) {
   for (Item i = 0; i < 25; ++i) big.push_back(i);
   BasisSet basis({Itemset(std::move(big))});
   Rng rng(15);
-  EXPECT_FALSE(BasisFreq(db, basis, 1, 1.0, rng).ok());
+  EXPECT_FALSE(RunBasisFreq(db, basis, 1, 1.0, rng).ok());
 }
 
 TEST(BasisFreqTest, RejectsNonPositiveEpsilon) {
   TransactionDatabase db = MakeDb({{0}});
   BasisSet basis({Itemset({0})});
   Rng rng(17);
-  EXPECT_FALSE(BasisFreq(db, basis, 1, 0.0, rng).ok());
+  EXPECT_FALSE(RunBasisFreq(db, basis, 1, 0.0, rng).ok());
+}
+
+// Without an executor BasisFreq refuses before charging any ε.
+TEST(BasisFreqTest, NullExecutorIsInvalidAndChargesNothing) {
+  TransactionDatabase db = MakeDb({{0, 1}, {1}});
+  BasisSet basis({Itemset({0, 1})});
+  PrivacyAccountant accountant(1.0);
+  Rng rng(18);
+  auto result = BasisFreq(db, basis, 1, 0.5, rng, &accountant);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(accountant.spent_epsilon(), 0.0);
+  EXPECT_TRUE(accountant.entries().empty());
 }
 
 TEST(BasisFreqTest, EmptyBasisSetYieldsNothing) {
   TransactionDatabase db = MakeDb({{0}});
   Rng rng(19);
-  auto result = BasisFreq(db, BasisSet(), 5, 1.0, rng);
+  auto result = RunBasisFreq(db, BasisSet(), 5, 1.0, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->topk.empty());
   EXPECT_EQ(result->num_candidates, 0u);
@@ -194,7 +219,7 @@ TEST(BasisFreqTest, KLimitsOutput) {
   TransactionDatabase db = MakeRandomDb({.seed = 6});
   BasisSet basis({Itemset({0, 1, 2, 3, 4})});
   Rng rng(21);
-  auto result = BasisFreq(db, basis, 3, 1.0, rng);
+  auto result = RunBasisFreq(db, basis, 3, 1.0, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->topk.size(), 3u);
   EXPECT_EQ(result->num_candidates, 31u);
@@ -204,7 +229,7 @@ TEST(BasisFreqTest, NoisyCountsSortedDescending) {
   TransactionDatabase db = MakeRandomDb({.seed = 7});
   BasisSet basis({Itemset({0, 1, 2, 3})});
   Rng rng(23);
-  auto result = BasisFreq(db, basis, 10, 0.5, rng);
+  auto result = RunBasisFreq(db, basis, 10, 0.5, rng);
   ASSERT_TRUE(result.ok());
   for (size_t i = 1; i < result->topk.size(); ++i) {
     EXPECT_GE(result->topk[i - 1].noisy_count, result->topk[i].noisy_count);

@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "core/basis_freq.h"
 #include "data/vertical_index.h"
+#include "bench_util.h"
 #include "test_util.h"
 
 namespace privbasis {
@@ -114,10 +115,13 @@ TEST(ConsistencyTest, ImprovesAccuracyOnBasisFreqRelease) {
       {.seed = 5, .num_transactions = 80, .universe = 10, .item_prob = 0.5});
   VerticalIndex index(db);
   BasisSet basis({Itemset({0, 1, 2, 3, 4})});
+  BasisFreqOptions options;
+  const DirectCountExecutor exec = bench::ScanExecutor(db);
+  options.exec = &exec;
   Rng rng(7);
   double raw_error = 0, repaired_error = 0;
   for (int trial = 0; trial < 200; ++trial) {
-    auto result = BasisFreq(db, basis, 0, 0.3, rng);
+    auto result = BasisFreq(db, basis, 0, 0.3, rng, nullptr, options);
     ASSERT_TRUE(result.ok());
     auto repaired = result->topk;
     EnforceMonotoneConsistency(&repaired);

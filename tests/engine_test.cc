@@ -190,6 +190,49 @@ TEST(EngineTest, AmplifiedSpendEqualsMeteredSpend) {
               1e-12);
 }
 
+// A subsampled query counts on its own subsample, whatever executor the
+// spec carries: the dataset's executor counts the full database, while
+// the ledger charges only the amplified ε.
+TEST(EngineTest, SubsampledQueryIgnoresInheritedExecutor) {
+  auto dataset = Dataset::FromProfile(SyntheticProfile::Kosarak(0.05), 42);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  const std::shared_ptr<const CountExecutor> exec =
+      (*dataset)->EnsureCountExecutor();
+  for (const uint64_t seed : {1, 2, 3}) {
+    QuerySpec spec = QuerySpec()
+                         .WithTopK(50)
+                         .WithEpsilon(1.0)
+                         .WithAmplification(0.25)
+                         .WithSeed(seed);
+    auto plain = Engine::Run(**dataset, spec);
+    spec.pb.exec = exec.get();
+    auto inherited = Engine::Run(**dataset, spec);
+    ASSERT_TRUE(plain.ok()) << plain.status();
+    ASSERT_TRUE(inherited.ok()) << inherited.status();
+    EXPECT_TRUE(SameRelease(plain->itemsets, inherited->itemsets))
+        << "seed " << seed;
+    EXPECT_EQ(plain->lambda, inherited->lambda);
+    EXPECT_EQ(plain->lambda2, inherited->lambda2);
+    EXPECT_EQ(plain->epsilon_spent, inherited->epsilon_spent);
+  }
+  // The subsample's executor only scans.
+  EXPECT_EQ((*dataset)->cache_counters().index_builds, 0u);
+}
+
+// Cold queries on a fresh handle build no VerticalIndex: the executor
+// counts pairs through the bitmaps only once something else built them.
+TEST(EngineTest, ColdQueryBuildsNoIndex) {
+  for (const size_t k : {50, 300}) {
+    auto dataset = Dataset::FromProfile(SyntheticProfile::Kosarak(0.05), 42);
+    ASSERT_TRUE(dataset.ok()) << dataset.status();
+    auto release = Engine::Run(
+        **dataset, QuerySpec().WithTopK(k).WithEpsilon(1.0).WithSeed(1));
+    ASSERT_TRUE(release.ok()) << release.status();
+    EXPECT_GT(release->lambda2, 0u) << "k=" << k << " counted no pairs";
+    EXPECT_EQ((*dataset)->cache_counters().index_builds, 0u) << "k=" << k;
+  }
+}
+
 TEST(EngineTest, WarmCacheResultsIdenticalToColdCache) {
   TransactionDatabase db = MakeRandomDb({.seed = 11, .num_transactions = 300});
   QuerySpec spec = QuerySpec().WithTopK(12).WithEpsilon(1.0).WithSeed(77);

@@ -23,6 +23,7 @@ namespace {
 
 using ::privbasis::bench::MakeFrequentItemBasis;
 using ::privbasis::testing::MakeRandomDb;
+using ::privbasis::bench::ScanExecutor;
 
 /// A database large enough that the sharded scan and parallel index
 /// construction actually engage (they fall back to one shard below a few
@@ -43,8 +44,9 @@ TEST(ParallelDeterminismTest, BasisFreqBitIdenticalAcrossThreadCounts) {
   std::vector<BasisFreqResult> results;
   for (size_t threads : {1u, 2u, 8u}) {
     Rng rng(7);  // fresh engine per run: identical noise draws
+    const DirectCountExecutor exec = ScanExecutor(db, threads);
     BasisFreqOptions options;
-    options.num_threads = threads;
+    options.exec = &exec;
     auto result = BasisFreq(db, basis, 80, 1.0, rng, nullptr, options);
     ASSERT_TRUE(result.ok());
     results.push_back(std::move(result).value());
@@ -203,8 +205,9 @@ TEST(ParallelDeterminismTest, SimdLevelsProduceIdenticalResults) {
       supports.push_back(index.SupportOfMany(queries, threads));
 
       Rng rng(7);
+      const DirectCountExecutor exec = ScanExecutor(db, threads);
       BasisFreqOptions options;
-      options.num_threads = threads;
+      options.exec = &exec;
       auto bf = BasisFreq(db, basis, 80, 1.0, rng, nullptr, options);
       ASSERT_TRUE(bf.ok());
       bf_results.push_back(std::move(bf).value());

@@ -13,6 +13,7 @@
 #include "engine/engine.h"
 #include "data/vertical_index.h"
 #include "fim/topk.h"
+#include "bench_util.h"
 #include "test_util.h"
 
 namespace privbasis {
@@ -20,6 +21,7 @@ namespace {
 
 using ::privbasis::testing::MakeDb;
 using ::privbasis::testing::MakeRandomDb;
+using ::privbasis::bench::ScanExecutor;
 
 TEST(PrivBasisStatisticalTest, GetLambdaMatchesDirectExponentialMechanism) {
   // GetLambda groups equal-count ranks; its selection distribution must
@@ -86,12 +88,15 @@ TEST(PrivBasisStatisticalTest, FusionReducesEmpiricalVariance) {
   BasisSet overlap({Itemset({0, 1, 2}), Itemset({0, 1, 3})});
   BasisSet disjoint({Itemset({0, 1, 2}), Itemset({3})});
 
+  BasisFreqOptions options;
+  const DirectCountExecutor exec = ScanExecutor(db);
+  options.exec = &exec;
   auto variance_with = [&](const BasisSet& basis, uint64_t seed) {
     Rng rng(seed);
     double sum = 0, sum_sq = 0;
     const int trials = 8000;
     for (int t = 0; t < trials; ++t) {
-      auto result = BasisFreq(db, basis, 0, 1.0, rng);
+      auto result = BasisFreq(db, basis, 0, 1.0, rng, nullptr, options);
       EXPECT_TRUE(result.ok());
       for (const auto& c : result->topk) {
         if (c.items == target) {
@@ -151,11 +156,14 @@ TEST(PrivBasisStatisticalTest, ReleasedCountsUnbiasedAtFixedBasis) {
   BasisSet basis({Itemset({0, 1, 2, 3})});
   const Itemset target({0, 1});
   const double exact = static_cast<double>(index.SupportOf(target));
+  BasisFreqOptions options;
+  const DirectCountExecutor exec = ScanExecutor(db);
+  options.exec = &exec;
   Rng rng(31);
   double sum = 0;
   const int trials = 20000;
   for (int t = 0; t < trials; ++t) {
-    auto result = BasisFreq(db, basis, 0, 1.0, rng);
+    auto result = BasisFreq(db, basis, 0, 1.0, rng, nullptr, options);
     ASSERT_TRUE(result.ok());
     for (const auto& c : result->topk) {
       if (c.items == target) sum += c.noisy_count;

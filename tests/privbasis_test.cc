@@ -11,6 +11,7 @@
 #include "data/vertical_index.h"
 #include "engine/engine.h"
 #include "fim/topk.h"
+#include "bench_util.h"
 #include "test_util.h"
 
 namespace privbasis {
@@ -19,6 +20,7 @@ namespace {
 using ::privbasis::testing::MakeDb;
 using ::privbasis::testing::MakeRandomDb;
 using ::privbasis::testing::RandomDbSpec;
+using ::privbasis::bench::ScanExecutor;
 
 /// One PrivBasis query through the public entry point (Engine::Run),
 /// threading an external Rng so multi-release tests draw from one
@@ -144,7 +146,7 @@ DirectCountExecutor MakeDirect(TransactionDatabase db, double density) {
   VerticalIndex::Options options;
   options.density_threshold = density;
   auto index = std::make_shared<const VerticalIndex>(*shared, options);
-  return DirectCountExecutor(shared, index);
+  return DirectCountExecutor(shared, [index](bool) { return index; });
 }
 
 /// True when DirectCountExecutor::PairSupports counts `items` through
@@ -198,6 +200,34 @@ TEST(DirectPairSupportsTest, BothPathsMatchTheScan) {
     EXPECT_EQ(exec.PairSupports(c.items, &fired).status().code(),
               StatusCode::kCancelled);
   }
+}
+
+// Without an index source the executor scans for pairs and still answers
+// batch supports, through an index of its own.
+TEST(DirectPairSupportsTest, ScanOnlyExecutorCountsExactly) {
+  const TransactionDatabase db = MakeRandomDb(
+      {.seed = 5, .num_transactions = 300, .universe = 12, .item_prob = 0.5});
+  const DirectCountExecutor exec = ScanExecutor(db);
+  const std::vector<Item> items = {0, 3, 5, 7, 3, 1};
+  auto pairs = exec.PairSupports(items, nullptr);
+  ASSERT_TRUE(pairs.ok()) << pairs.status();
+  EXPECT_EQ(*pairs, CountPairSupports(db, items));
+  const std::vector<Itemset> queries = {Itemset({0, 3}), Itemset({1, 5, 7})};
+  auto supports = exec.SupportOfMany(queries, nullptr);
+  ASSERT_TRUE(supports.ok()) << supports.status();
+  EXPECT_EQ(*supports, (std::vector<uint64_t>{db.SupportOf(queries[0]),
+                                              db.SupportOf(queries[1])}));
+}
+
+// A run without an executor is refused before any ε is consumed.
+TEST(PrivBasisQueryTest, NullExecutorIsInvalidAndChargesNothing) {
+  const TransactionDatabase db = MakeRandomDb({.seed = 9});
+  PrivacyAccountant ledger(1.0);
+  Rng rng(9);
+  auto result =
+      detail::RunPrivBasisImpl(db, 5, 1.0, rng, PrivBasisOptions{}, ledger);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ledger.spent_epsilon(), 0.0);
 }
 
 TEST(PrivBasisQueryTest, ValidatesArguments) {

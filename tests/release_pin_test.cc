@@ -9,9 +9,10 @@
 //
 // Grid: kosarak (scale 0.05), mushroom (scale 1) and retail (scale 0.1)
 // × k ∈ {10, 50, 100, 300} × ε ∈ {0.1, 1} × seeds {1, 2, 3}, each run
-// twice: scanning the database directly and counting through the
-// dataset's DirectCountExecutor (EnsureCountExecutor). Both runs must
-// match the same pin, since attaching the executor never changes a bit.
+// twice: before the dataset's VerticalIndex exists, when an unsharded
+// dataset's DirectCountExecutor scans for every pair count, and after,
+// when it takes the bitmaps wherever those are the smaller pass. Both
+// runs must match the same pin, since the two pair paths count the same.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -69,28 +70,20 @@ struct Pin {
   uint64_t digest;  ///< over the releases of every seed in kSeeds, in order
 };
 
-std::shared_ptr<Dataset> MakeDataset(const SyntheticProfile& profile,
-                                     bool with_executor) {
-  auto dataset = Dataset::FromProfile(profile, 42);
-  if (!dataset.ok()) return nullptr;
-  if (with_executor) (void)(*dataset)->EnsureCountExecutor();
-  return *dataset;
-}
-
 void ExpectPins(const std::string& name, const SyntheticProfile& profile,
                 const std::vector<Pin>& pins) {
-  for (bool with_executor : {false, true}) {
-    SCOPED_TRACE(with_executor ? "with executor" : "direct scan");
-    auto dataset = MakeDataset(profile, with_executor);
-    ASSERT_NE(dataset, nullptr);
-    ASSERT_EQ(dataset->count_executor() != nullptr, with_executor);
+  for (bool with_index : {false, true}) {
+    SCOPED_TRACE(with_index ? "index built" : "no index");
+    auto dataset = Dataset::FromProfile(profile, 42);
+    ASSERT_TRUE(dataset.ok()) << dataset.status();
+    if (with_index) (void)(*dataset)->Index();
     std::string table;
     bool all_match = true;
     for (const Pin& pin : pins) {
       Digest digest;
       for (uint64_t seed : kSeeds) {
         auto release = Engine::Run(
-            *dataset,
+            **dataset,
             QuerySpec().WithTopK(pin.k).WithEpsilon(pin.epsilon).WithSeed(
                 seed));
         ASSERT_TRUE(release.ok()) << release.status();

@@ -29,6 +29,7 @@
 #include "fim/fpgrowth.h"
 #include "shard/shard_exec.h"
 #include "shard/sharded_db.h"
+#include "bench_util.h"
 #include "test_util.h"
 
 namespace privbasis {
@@ -37,6 +38,7 @@ namespace {
 using privbasis::testing::MakeDb;
 using privbasis::testing::MakeRandomDb;
 using privbasis::testing::RandomDbSpec;
+using privbasis::bench::ScanExecutor;
 
 constexpr size_t kShardCounts[] = {1, 2, 4, 8};
 
@@ -173,9 +175,13 @@ TEST(ShardExecTest, BasisFreqBitIdenticalThroughExecutor) {
   basis_set.Add(Itemset({2, 3, 4}));
 
   Rng direct_rng(99);
+  const DirectCountExecutor scan = ScanExecutor(db);
+  BasisFreqOptions direct_options;
+  direct_options.exec = &scan;
   PRIVBASIS_ASSERT_OK_AND_ASSIGN(
       BasisFreqResult direct,
-      BasisFreq(db, basis_set, /*k=*/10, /*epsilon=*/1.0, direct_rng));
+      BasisFreq(db, basis_set, /*k=*/10, /*epsilon=*/1.0, direct_rng,
+                /*accountant=*/nullptr, direct_options));
 
   for (const size_t num_shards : kShardCounts) {
     const LocalShardExecutor exec = MakeExecutor(db, num_shards);
@@ -236,10 +242,13 @@ TEST(ShardExecTest, EngineRunBitIdenticalAcrossShardCounts) {
   }
 }
 
-// An unsharded dataset never builds an executor; shard_fanout stays 1.
+// An unsharded dataset counts through a 1-shard executor without
+// partitioning anything; shard_fanout stays 1.
 TEST(ShardExecTest, UnshardedDatasetSkipsExecutor) {
   auto dataset = Dataset::Create(MakeDb({{0, 1}, {1, 2}}), {.num_shards = 1});
-  EXPECT_EQ(dataset->count_executor(), nullptr);
+  const auto exec = dataset->count_executor();
+  ASSERT_NE(exec, nullptr);
+  EXPECT_EQ(exec->NumShards(), 1u);
   EXPECT_EQ(dataset->shard_fanout(), 1u);
   EXPECT_EQ(dataset->cache_counters().shard_builds, 0u);
 }

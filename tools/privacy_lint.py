@@ -33,6 +33,15 @@ dependency) so CI fails when a refactor quietly violates one:
                       consume two independent draws (breaking the ε
                       accounting) or leak a worker-local noised count.
 
+  count-seam          Every exact count a mechanism reads goes through a
+                      CountExecutor (src/core/count_exec.h). In src/, the
+                      raw scans CountPairSupports( and CountBasisBins( may
+                      be called only by the executors — core/batch_exec.cc
+                      and src/shard/ — besides their own definitions. A
+                      direct call elsewhere is a second counting path
+                      that the sharded, served, batched and subsampled
+                      queries do not share.
+
   failpoint-manifest  Every fault-injection site name — static
                       failpoint::Hit("...") literals, the dynamic
                       <prefix>_{write,rename,append,sync} families minted
@@ -65,6 +74,13 @@ PRIVACY_BLIND_DIRS = (
     "src/server/", "src/store/", "src/shard/", "src/data/", "src/fim/")
 
 WIRE_TOKEN = re.compile(r"\bshardwire::")
+
+RAW_COUNT_CALL = re.compile(r"\b(CountPairSupports|CountBasisBins)\s*\(")
+COUNT_SEAM_ALLOWED = ("src/core/batch_exec.cc", "src/shard/")
+# A definition: the name follows its return type (`std::vector<uint64_t>`
+# or `Result<...>`), i.e. a `>` then whitespace.
+RAW_COUNT_DEFINITION = re.compile(
+    r">\s*(CountPairSupports|CountBasisBins)\s*\($")
 
 LEASE_BIND = re.compile(r"\bBudgetLease\s+(\w+)\s*[,;)]")
 LEASE_RESOLVED = (
@@ -207,6 +223,23 @@ def check_wire_after_noise(path, code, raw):
     return findings
 
 
+def check_count_seam(path, code, raw):
+    del raw
+    findings = []
+    if not path.startswith("src/") or path.startswith(COUNT_SEAM_ALLOWED):
+        return findings
+    for match in RAW_COUNT_CALL.finditer(code):
+        head = code[max(0, match.start() - 200):match.end()]
+        if RAW_COUNT_DEFINITION.search(head):
+            continue  # the declaration or definition itself
+        findings.append(Finding(
+            "count-seam", path, line_of(code, match.start()),
+            f"direct `{match.group(1)}` call: count through the query's "
+            "CountExecutor (only core/batch_exec.cc and src/shard/ may "
+            "scan)"))
+    return findings
+
+
 def collect_sites(root, rel_paths):
     """All failpoint site names the tree defines or references."""
     sites = {}  # name -> first "path:line"
@@ -264,7 +297,7 @@ def check_failpoint_manifest(root, rel_paths):
 
 
 FILE_RULES = (check_noise_containment, check_lease_resolution,
-              check_wire_after_noise)
+              check_wire_after_noise, check_count_seam)
 
 
 def lint_tree(root, verbose=False):
@@ -332,6 +365,16 @@ SELF_TEST_CASES = {
         "void Ship(Rng& rng) {\n"
         "  double noised = SampleLaplace(rng, 1.0);\n"
         "  shardwire::WriteFrame(noised);\n"
+        "}\n"
+        "}\n"),
+    "count-seam": (
+        "src/core/evil.cc",
+        "namespace privbasis {\n"
+        "std::vector<uint64_t> CountPairSupports(const Db& db,\n"
+        "                                        const Items& f);\n"
+        "Status Step3(const Db& db, const Items& f) {\n"
+        "  std::vector<uint64_t> counts = CountPairSupports(db, f);\n"
+        "  return Status::OK();\n"
         "}\n"
         "}\n"),
 }
