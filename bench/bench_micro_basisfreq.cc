@@ -166,15 +166,9 @@ BENCHMARK(BM_GetFreqElements)->Unit(benchmark::kMicrosecond);
 
 /// Step 3's exact pair supports through the dataset's count executor, at
 /// the λ of a k=50 (λ = 24, bitmap path) and a k=300 (λ = 61, scan)
-/// query; F is picked by the item mechanism as in a query. The index is
-/// built up front, as a server does at registration: the executor
-/// counts through existing bitmaps only.
+/// query; F is picked by the item mechanism as in a query.
 void BM_PairSupports(benchmark::State& state) {
-  static const std::shared_ptr<Dataset> dataset = [] {
-    auto borrowed = Dataset::Borrow(Db());
-    (void)borrowed->Index();
-    return borrowed;
-  }();
+  static const std::shared_ptr<Dataset> dataset = Dataset::Borrow(Db());
   const auto exec = dataset->count_executor();
   const auto lambda = static_cast<size_t>(state.range(0));
   Rng rng(lambda);

@@ -93,16 +93,24 @@ Result<std::vector<uint64_t>> DirectCountExecutor::PairSupports(
     const std::vector<Item>& items, const CancelToken* cancel) const {
   // A bitmap pair costs one AND + popcount pass over N/64 words; the
   // scan costs one pass over every item occurrence. Count through the
-  // bitmaps when every item has one and that is the smaller pass. An
-  // index that is not built yet would first cost a pass over every
-  // occurrence to build, more than the scan it replaces, so only an
-  // existing one is used.
+  // bitmaps when every item has one and that is the smaller pass. Item
+  // supports and the index's own bitmap rule tell which items have one,
+  // so the index is fetched (and on first use built) only then.
   const size_t m = items.size();
   const uint64_t pairs = m < 2 ? 0 : uint64_t{m} * (m - 1) / 2;
   const uint64_t words = (db_->NumTransactions() + 63) / 64;
-  if (index_ != nullptr && pairs * words < db_->TotalItemOccurrences()) {
-    const std::shared_ptr<const VerticalIndex> index =
-        index_(/*build=*/false);
+  const std::vector<uint64_t>& supports = db_->ItemSupports();
+  const uint64_t min_dense =
+      VerticalIndex::MinDenseSupport(db_->NumTransactions());
+  const bool all_dense =
+      std::all_of(items.begin(), items.end(), [&](Item it) {
+        return it < supports.size() && supports[it] >= min_dense;
+      });
+  if (index_ != nullptr && all_dense &&
+      pairs * words < db_->TotalItemOccurrences()) {
+    const std::shared_ptr<const VerticalIndex> index = index_();
+    // The index may have been built with other Options; count through it
+    // only when it really holds every bitmap.
     if (index != nullptr &&
         std::all_of(items.begin(), items.end(),
                     [&](Item it) { return index->IsDense(it); })) {
@@ -124,7 +132,7 @@ Result<std::vector<uint64_t>> DirectCountExecutor::PairSupports(
 Result<std::vector<uint64_t>> DirectCountExecutor::SupportOfMany(
     std::span<const Itemset> queries, const CancelToken* cancel) const {
   std::shared_ptr<const VerticalIndex> index =
-      index_ != nullptr ? index_(/*build=*/true) : nullptr;
+      index_ != nullptr ? index_() : nullptr;
   if (index == nullptr) {
     index = std::make_shared<const VerticalIndex>(
         *db_, VerticalIndex::Options{.num_threads = num_threads_});

@@ -23,9 +23,9 @@
 // bin scan, the pair scan and VerticalIndex batch supports. It is what
 // every unsharded query counts through, and batching wraps it like any
 // other executor. Its pair supports come from the VerticalIndex bitmaps
-// instead of a scan when the index is already built, every item has a
-// bitmap and the pairs' bitmap words are fewer than the item
-// occurrences; the counts are exact either way.
+// instead of a scan when every item has a bitmap and the pairs' bitmap
+// words are fewer than the item occurrences; it fetches (and so builds)
+// the index only then. The counts are exact either way.
 #ifndef PRIVBASIS_CORE_BATCH_EXEC_H_
 #define PRIVBASIS_CORE_BATCH_EXEC_H_
 
@@ -53,12 +53,9 @@ struct BatchStats {
 /// Exact counts over one unsharded database.
 class DirectCountExecutor : public CountExecutor {
  public:
-  /// Where the executor finds a VerticalIndex over the same database.
-  /// Called with `build` false it returns the index only if it already
-  /// exists, else nullptr; with `build` true it builds it on first use.
-  /// It may return nullptr either way (the owner is gone).
-  using IndexSource =
-      std::function<std::shared_ptr<const VerticalIndex>(bool build)>;
+  /// Returns a VerticalIndex over the same database, built with default
+  /// Options (memoized by its owner), or nullptr once the owner is gone.
+  using IndexSource = std::function<std::shared_ptr<const VerticalIndex>()>;
 
   /// An empty `index` makes the executor scan-only: pair supports always
   /// scan, and SupportOfMany builds a throwaway index per call.

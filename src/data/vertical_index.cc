@@ -80,13 +80,10 @@ VerticalIndex::VerticalIndex(const TransactionDatabase& db,
 
   // Dense backend: bitmap every item whose support clears the density
   // threshold (support 0 items always stay sparse).
-  double density = options.density_threshold;
-  if (density < 0.0) density = BitmapDensityThreshold();
   dense_rank_.assign(universe_size_, kNoDense);
-  if (density < 1.0 && n > 0) {
-    const uint64_t min_dense_support = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               std::ceil(density * static_cast<double>(n))));
+  const uint64_t min_dense_support =
+      MinDenseSupport(n, options.density_threshold);
+  if (min_dense_support != UINT64_MAX) {
     for (uint32_t i = 0; i < universe_size_; ++i) {
       if (supports[i] >= min_dense_support) {
         dense_rank_[i] = static_cast<uint32_t>(num_dense_++);
@@ -107,6 +104,16 @@ VerticalIndex::VerticalIndex(const TransactionDatabase& db,
           }
         });
   }
+}
+
+uint64_t VerticalIndex::MinDenseSupport(size_t num_transactions,
+                                        double density_threshold) {
+  if (density_threshold < 0.0) density_threshold = BitmapDensityThreshold();
+  if (!(density_threshold < 1.0) || num_transactions == 0) return UINT64_MAX;
+  return std::max<uint64_t>(
+      1, static_cast<uint64_t>(
+             std::ceil(std::max(0.0, density_threshold) *
+                       static_cast<double>(num_transactions))));
 }
 
 std::span<const uint32_t> VerticalIndex::TidList(Item item) const {

@@ -71,6 +71,14 @@ class VerticalIndex {
                                       size_t num_threads = 0,
                                       const CancelToken* cancel = nullptr) const;
 
+  /// The bitmap rule: an item whose support is at least this many
+  /// transactions, out of `num_transactions`, gets a dense bitmap.
+  /// `density_threshold` reads as Options::density_threshold (negative =
+  /// the PRIVBASIS_BITMAP_DENSITY env knob); UINT64_MAX when no item
+  /// gets one.
+  static uint64_t MinDenseSupport(size_t num_transactions,
+                                  double density_threshold = -1.0);
+
   /// True iff `item` is backed by a dense bitmap (diagnostics / tests).
   bool IsDense(Item item) const {
     return item < universe_size_ && dense_rank_[item] != kNoDense;

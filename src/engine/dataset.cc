@@ -90,13 +90,9 @@ std::shared_ptr<const CountExecutor> Dataset::count_executor() const {
   if (executor_.value == nullptr) {
     // The index source holds the handle weakly: an executor that
     // outlives the Dataset just stops seeing its index.
-    auto index = [weak = weak_from_this()](
-                     bool build) -> std::shared_ptr<const VerticalIndex> {
+    auto index = [weak = weak_from_this()] {
       const std::shared_ptr<const Dataset> self = weak.lock();
-      if (self == nullptr) return nullptr;
-      if (build) return self->Index();
-      MutexLock index_lock(self->index_.mu);
-      return self->index_.value;  // nullptr until built
+      return self != nullptr ? self->Index() : nullptr;
     };
     executor_.value = std::make_shared<const DirectCountExecutor>(
         db_, std::move(index), options_.num_threads);

@@ -104,9 +104,9 @@ class Dataset : public std::enable_shared_from_this<Dataset> {
   /// attached one (coordinator mode), else a lazily built in-process
   /// LocalShardExecutor when the effective shard count exceeds 1, else a
   /// lazily built DirectCountExecutor over db(). Never nullptr. The
-  /// direct executor counts pairs through Index() only once something
-  /// else has built it, so a query never builds the index itself.
-  /// Memoized; the handle keeps the returned executor alive.
+  /// direct executor fetches Index() (building it on first use) only for
+  /// a pair count the bitmaps win. Memoized; the handle keeps the
+  /// returned executor alive.
   std::shared_ptr<const CountExecutor> count_executor() const;
 
   /// Same as count_executor().

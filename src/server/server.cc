@@ -378,12 +378,6 @@ Status QueryServer::AttachExecutors(const std::string& id,
     PRIVBASIS_RETURN_NOT_OK(ShardToWorkers(id, dataset));
   }
   if (!BatchingEnabled()) return Status::OK();
-  // Fused pair rounds count through SupportOfMany, which needs the
-  // VerticalIndex of an unsharded dataset, and once it exists solo pair
-  // counts use its bitmaps too. Build it here, off the query path.
-  if (shard_workers_.empty() && dataset->shard_fanout() == 1) {
-    (void)dataset->Index();
-  }
   // Wrap whatever the dataset counts through (remote fleet, local
   // shards, or the direct scan) so same-dataset queries can share scans.
   // Fused counts merge exactly before any noise draw, so attaching the

@@ -219,18 +219,17 @@ TEST(EngineTest, SubsampledQueryIgnoresInheritedExecutor) {
   EXPECT_EQ((*dataset)->cache_counters().index_builds, 0u);
 }
 
-// Cold queries on a fresh handle build no VerticalIndex: the executor
-// counts pairs through the bitmaps only once something else built them.
+// A cold k=300 query on a fresh handle builds no VerticalIndex: at this
+// shape the pair scan is the smaller pass, so the executor never fetches
+// the index.
 TEST(EngineTest, ColdQueryBuildsNoIndex) {
-  for (const size_t k : {50, 300}) {
-    auto dataset = Dataset::FromProfile(SyntheticProfile::Kosarak(0.05), 42);
-    ASSERT_TRUE(dataset.ok()) << dataset.status();
-    auto release = Engine::Run(
-        **dataset, QuerySpec().WithTopK(k).WithEpsilon(1.0).WithSeed(1));
-    ASSERT_TRUE(release.ok()) << release.status();
-    EXPECT_GT(release->lambda2, 0u) << "k=" << k << " counted no pairs";
-    EXPECT_EQ((*dataset)->cache_counters().index_builds, 0u) << "k=" << k;
-  }
+  auto dataset = Dataset::FromProfile(SyntheticProfile::Kosarak(0.05), 42);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  auto release = Engine::Run(
+      **dataset, QuerySpec().WithTopK(300).WithEpsilon(1.0).WithSeed(1));
+  ASSERT_TRUE(release.ok()) << release.status();
+  EXPECT_GT(release->lambda2, 0u) << "the query counted no pairs";
+  EXPECT_EQ((*dataset)->cache_counters().index_builds, 0u);
 }
 
 TEST(EngineTest, WarmCacheResultsIdenticalToColdCache) {

@@ -146,7 +146,7 @@ DirectCountExecutor MakeDirect(TransactionDatabase db, double density) {
   VerticalIndex::Options options;
   options.density_threshold = density;
   auto index = std::make_shared<const VerticalIndex>(*shared, options);
-  return DirectCountExecutor(shared, [index](bool) { return index; });
+  return DirectCountExecutor(shared, [index] { return index; });
 }
 
 /// True when DirectCountExecutor::PairSupports counts `items` through
