@@ -1,11 +1,9 @@
-// Microbenchmarks for the mining substrate: FP-Growth vs Apriori at
-// matching thresholds, and exact top-k mining (the evaluation's ground-
-// truth path).
+// Microbenchmarks for the mining substrate: FP-Growth at falling
+// thresholds, and exact top-k mining (the evaluation's ground-truth
+// path).
 #include <benchmark/benchmark.h>
 
 #include "data/synthetic.h"
-#include "fim/apriori.h"
-#include "fim/eclat.h"
 #include "fim/fpgrowth.h"
 #include "fim/topk.h"
 
@@ -42,18 +40,6 @@ void BM_FpGrowthMushroom(benchmark::State& state) {
 }
 BENCHMARK(BM_FpGrowthMushroom)->Arg(60)->Arg(50)->Arg(40);
 
-void BM_AprioriMushroom(benchmark::State& state) {
-  const auto& db = Mushroom();
-  MiningOptions options;
-  options.min_support =
-      db.NumTransactions() * static_cast<uint64_t>(state.range(0)) / 100;
-  for (auto _ : state) {
-    auto result = MineApriori(db, options);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_AprioriMushroom)->Arg(60)->Arg(50)->Arg(40);
-
 void BM_TopKKosarak(benchmark::State& state) {
   const auto& db = Kosarak();
   for (auto _ : state) {
@@ -74,19 +60,6 @@ void BM_TopKThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopKThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/// Eclat scaling: root equivalence classes as pool tasks.
-void BM_EclatThreads(benchmark::State& state) {
-  const auto& db = Mushroom();
-  MiningOptions options;
-  options.min_support = db.NumTransactions() * 40 / 100;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto result = MineEclat(db, options);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_EclatThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace
 }  // namespace privbasis

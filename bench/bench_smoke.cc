@@ -28,7 +28,6 @@
 #include "data/vertical_index.h"
 #include "engine/engine.h"
 #include "eval/ground_truth.h"
-#include "fim/apriori.h"
 #include "fim/fpgrowth.h"
 #include "fim/fptree.h"
 #include "server/server.h"
@@ -148,13 +147,6 @@ void RunSuite() {
         [&] {
           auto result = MineFpGrowth(mushroom, options);
           UnwrapStatus(result.status(), "MineFpGrowth");
-        },
-        {{"dataset", "mushroom"}});
-    TimePhase(
-        "apriori_mine",
-        [&] {
-          auto result = MineApriori(mushroom, options);
-          UnwrapStatus(result.status(), "MineApriori");
         },
         {{"dataset", "mushroom"}});
   }

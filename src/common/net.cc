@@ -23,9 +23,8 @@ Status Errno(const std::string& what) {
 }
 
 /// Milliseconds until `deadline`, clamped for poll(): 0 when already
-/// passed, -1 (infinite) for NoDeadline.
+/// passed.
 int PollTimeoutMs(Deadline deadline) {
-  if (deadline == Deadline::max()) return -1;
   const auto now = std::chrono::steady_clock::now();
   if (deadline <= now) return 0;
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -72,8 +71,6 @@ Result<sockaddr_in> ResolveV4(const std::string& host, uint16_t port) {
 }
 
 }  // namespace
-
-Deadline NoDeadline() { return Deadline::max(); }
 
 Deadline DeadlineAfterMs(int64_t ms) {
   return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);

@@ -23,9 +23,6 @@ namespace privbasis::net {
 
 using Deadline = std::chrono::steady_clock::time_point;
 
-/// A deadline that never fires (for trusted in-process peers).
-Deadline NoDeadline();
-
 /// Deadline `ms` milliseconds from now.
 Deadline DeadlineAfterMs(int64_t ms);
 

@@ -120,7 +120,10 @@ Result<BasisSet> ConstructBasisSet(const std::vector<Item>& freq_items,
 
   // Line 2: maximal cliques (size >= 2) of the graph given by P.
   ItemGraph graph = ItemGraph::FromItemsAndPairs(freq_items, freq_pairs);
-  std::vector<Itemset> b1 = FindMaximalCliques(graph, 2);
+  std::vector<Itemset> b1 = FindMaximalCliques(graph, 2, options.cancel);
+  if (IsCancelled(options.cancel)) {
+    return Status::Cancelled("basis construction cancelled");
+  }
 
   // The length cap is a hard constraint (BasisFreq materializes 2^|Bi|
   // bins), but maximal cliques can exceed it. Split each oversized clique

@@ -23,9 +23,9 @@ struct ConstructBasisOptions {
   /// not considered (the paper limits ℓ to at most 12 — §4.2 running-time
   /// analysis).
   size_t max_basis_length = 12;
-  /// Cooperative cancellation, polled once per merge round (Line 4) and
-  /// per dissolve round (Line 5); a fired token returns kCancelled.
-  /// nullptr = not cancellable.
+  /// Cooperative cancellation, polled once per Bron–Kerbosch call
+  /// (Line 2), per merge round (Line 4) and per dissolve round (Line 5);
+  /// a fired token returns kCancelled. nullptr = not cancellable.
   const CancelToken* cancel = nullptr;
 };
 

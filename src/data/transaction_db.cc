@@ -1,7 +1,6 @@
 #include "data/transaction_db.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace privbasis {
 
@@ -49,27 +48,6 @@ uint64_t TransactionDatabase::SupportOf(const Itemset& itemset) const {
     if (itemset.IsSubsetOf(Transaction(i))) ++support;
   }
   return support;
-}
-
-TransactionDatabase TransactionDatabase::ProjectOnto(
-    const Itemset& keep) const {
-  std::vector<char> keep_mask(universe_size_, 0);
-  for (Item it : keep) {
-    assert(it < universe_size_);
-    keep_mask[it] = 1;
-  }
-  std::vector<Item> items;
-  std::vector<uint64_t> offsets;
-  offsets.reserve(offsets_.size());
-  offsets.push_back(0);
-  for (size_t i = 0; i < NumTransactions(); ++i) {
-    for (Item it : Transaction(i)) {
-      if (keep_mask[it]) items.push_back(it);
-    }
-    offsets.push_back(items.size());
-  }
-  return TransactionDatabase(universe_size_, std::move(items),
-                             std::move(offsets));
 }
 
 }  // namespace privbasis

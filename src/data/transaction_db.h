@@ -82,11 +82,6 @@ class TransactionDatabase {
            static_cast<double>(NumTransactions());
   }
 
-  /// New database containing only items in `keep` (a projection in the
-  /// paper's §4.1 sense). Transaction count is preserved; transactions may
-  /// become empty. Item ids are NOT remapped.
-  TransactionDatabase ProjectOnto(const Itemset& keep) const;
-
  private:
   TransactionDatabase(uint32_t universe_size, std::vector<Item> items,
                       std::vector<uint64_t> offsets);

@@ -4,17 +4,6 @@
 
 namespace privbasis {
 
-void SortCanonical(std::vector<FrequentItemset>* itemsets) {
-  std::sort(itemsets->begin(), itemsets->end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              if (a.support != b.support) return a.support > b.support;
-              if (a.items.size() != b.items.size()) {
-                return a.items.size() < b.items.size();
-              }
-              return a.items < b.items;
-            });
-}
-
 Result<MiningResult> MineBruteForce(const TransactionDatabase& db,
                                     const MiningOptions& options) {
   if (options.min_support < 1) {

@@ -31,14 +31,14 @@ struct MiningOptions {
   /// Truncate once more than this many patterns have been collected;
   /// 0 = unbounded. Callers use this to keep candidate spaces sane
   /// (e.g. the TF baseline's explicit-set mining). See MiningResult for
-  /// the truncation contract. Note: parallel miners bound *per-task*
-  /// work, so peak transient memory on a pathological abort is
-  /// O(num_root_classes · (max_patterns + 1)) patterns, not
+  /// the truncation contract. Note: FP-Growth bounds *per-task* work,
+  /// so peak transient memory on a pathological abort is
+  /// O(num_root_ranks · (max_patterns + 1)) patterns, not
   /// O(max_patterns); the returned set is always ≤ max_patterns.
   uint64_t max_patterns = 0;
-  /// Parallelism for miners with a parallel path (Eclat, and the
-  /// VerticalIndex they build); 0 = the PRIVBASIS_THREADS env knob.
-  /// Results are identical at every thread count.
+  /// Parallelism for FP-Growth's tree build and first projection level
+  /// (the brute-force oracle ignores it); 0 = the PRIVBASIS_THREADS env
+  /// knob. Results are identical at every thread count.
   size_t num_threads = 0;
   /// Cooperative cancellation (common/cancel.h): the miner polls once
   /// per work chunk and returns StatusCode::kCancelled if the token has
@@ -61,6 +61,7 @@ struct MiningResult {
 
 /// Canonical result order: descending support, ties broken by ascending
 /// length then lexicographic items — deterministic across miners.
+/// Defined in fim/fpgrowth.cc, its production caller.
 void SortCanonical(std::vector<FrequentItemset>* itemsets);
 
 /// An itemset released by a private mechanism together with its noisy

@@ -9,10 +9,13 @@ namespace {
 /// Recursive Bron–Kerbosch over dense node indices.
 /// R: current clique; P: candidates; X: already-processed (exclusion) set.
 /// The pivot u is chosen from P ∪ X maximizing |P ∩ N(u)|, and only
-/// P \ N(u) is branched on (Tomita et al. 2006).
-void Expand(const ItemGraph& g, std::vector<size_t>* r,
-            std::vector<size_t> p, std::vector<size_t> x,
+/// P \ N(u) is branched on (Tomita et al. 2006). Returns at once when
+/// `cancel` has fired.
+void Expand(const ItemGraph& g, const CancelToken* cancel,
+            std::vector<size_t>* r, std::vector<size_t> p,
+            std::vector<size_t> x,
             std::vector<std::vector<size_t>>* cliques) {
+  if (IsCancelled(cancel)) return;
   if (p.empty() && x.empty()) {
     cliques->push_back(*r);
     return;
@@ -47,7 +50,7 @@ void Expand(const ItemGraph& g, std::vector<size_t>* r,
       if (g.HasEdgeByIndex(v, w)) x_next.push_back(w);
     }
     r->push_back(v);
-    Expand(g, r, std::move(p_next), std::move(x_next), cliques);
+    Expand(g, cancel, r, std::move(p_next), std::move(x_next), cliques);
     r->pop_back();
     p.erase(std::find(p.begin(), p.end(), v));
     x.push_back(v);
@@ -56,17 +59,14 @@ void Expand(const ItemGraph& g, std::vector<size_t>* r,
 
 }  // namespace
 
-std::vector<Itemset> FindMaximalCliques(const ItemGraph& graph) {
-  return FindMaximalCliques(graph, 1);
-}
-
 std::vector<Itemset> FindMaximalCliques(const ItemGraph& graph,
-                                        size_t min_size) {
+                                        size_t min_size,
+                                        const CancelToken* cancel) {
   std::vector<std::vector<size_t>> raw;
   std::vector<size_t> r, p, x;
   p.resize(graph.NumNodes());
   for (size_t i = 0; i < p.size(); ++i) p[i] = i;
-  Expand(graph, &r, std::move(p), std::move(x), &raw);
+  Expand(graph, cancel, &r, std::move(p), std::move(x), &raw);
 
   std::vector<Itemset> cliques;
   cliques.reserve(raw.size());

@@ -63,29 +63,4 @@ std::vector<Item> ItemGraph::Neighbors(Item node) const {
   return out;
 }
 
-std::vector<Itemset> ItemGraph::ConnectedComponents() const {
-  std::vector<uint8_t> visited(nodes_.size(), 0);
-  std::vector<Itemset> components;
-  std::vector<size_t> stack;
-  for (size_t start = 0; start < nodes_.size(); ++start) {
-    if (visited[start]) continue;
-    std::vector<Item> members;
-    stack.push_back(start);
-    visited[start] = 1;
-    while (!stack.empty()) {
-      size_t v = stack.back();
-      stack.pop_back();
-      members.push_back(nodes_[v]);
-      for (size_t j = 0; j < nodes_.size(); ++j) {
-        if (adjacency_[v][j] && !visited[j]) {
-          visited[j] = 1;
-          stack.push_back(j);
-        }
-      }
-    }
-    components.push_back(Itemset(std::move(members)));
-  }
-  return components;
-}
-
 }  // namespace privbasis

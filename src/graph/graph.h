@@ -45,9 +45,6 @@ class ItemGraph {
   /// Neighbors of `node` (unsorted item ids).
   std::vector<Item> Neighbors(Item node) const;
 
-  /// Connected components, each as a sorted Itemset of its nodes.
-  std::vector<Itemset> ConnectedComponents() const;
-
   // -- dense-index access for clique algorithms ------------------------
   size_t IndexOf(Item node) const { return index_.at(node); }
   Item NodeAt(size_t idx) const { return nodes_[idx]; }

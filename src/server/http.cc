@@ -5,6 +5,8 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "common/net.h"
+
 namespace privbasis::server {
 
 namespace {
@@ -209,11 +211,6 @@ std::string SerializeHttpResponse(const HttpResponse& response) {
   out += "\r\n";
   if (framed) out += response.body;
   return out;
-}
-
-Status WriteHttpResponse(const net::Fd& fd, const HttpResponse& response,
-                         net::Deadline deadline) {
-  return net::WriteAll(fd, SerializeHttpResponse(response), deadline);
 }
 
 Result<HttpResponse> HttpCall(const std::string& host, uint16_t port,

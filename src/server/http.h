@@ -1,6 +1,6 @@
 // Minimal HTTP/1.1 on top of common/net: request parsing with explicit
-// limit outcomes, response writing, and a tiny blocking client used by
-// the tests and the bench_smoke server_latency phase.
+// limit outcomes, response serialization, and a tiny blocking client used
+// by the tests and the bench_smoke server_latency phase.
 //
 // Scope is deliberately narrow — the subset the query server needs:
 // Content-Length bodies only (no chunked transfer), no TLS, case-
@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/net.h"
 #include "common/status.h"
 
 namespace privbasis::server {
@@ -102,13 +101,8 @@ HttpParseResult ParseHttpRequest(std::string* buffer,
 
 /// Renders `response` as wire bytes (status line, Content-Type/Length
 /// framing — suppressed for 204 per RFC 7230 §3.3.2 — extra headers,
-/// Connection: close, body). Shared by WriteHttpResponse and the event
-/// loop's write queue.
+/// Connection: close, body), as the event loop's write queue sends them.
 std::string SerializeHttpResponse(const HttpResponse& response);
-
-/// Writes `response` with Content-Length and Connection headers.
-Status WriteHttpResponse(const net::Fd& fd, const HttpResponse& response,
-                         net::Deadline deadline);
 
 /// Standard reason phrase for the handful of codes the server emits.
 const char* HttpReasonPhrase(int status);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/cancel.h"
 #include "common/rng.h"
 
 namespace privbasis {
@@ -143,10 +144,22 @@ TEST_P(BronKerboschPropertyTest, MatchesBruteForceOnRandomGraphs) {
     }
   }
   EXPECT_EQ(AsSet(FindMaximalCliques(g)), BruteForceCliques(g));
+  // An armed but unfired token changes nothing.
+  const CancelToken far = CancelToken::AfterMs(60 * 60 * 1000);
+  EXPECT_EQ(FindMaximalCliques(g, 1, &far), FindMaximalCliques(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BronKerboschPropertyTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+TEST(BronKerboschTest, FiredTokenStopsEnumeration) {
+  ItemGraph g;
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  CancelToken token;
+  token.Cancel();
+  EXPECT_TRUE(FindMaximalCliques(g, 1, &token).empty());
+}
 
 }  // namespace
 }  // namespace privbasis

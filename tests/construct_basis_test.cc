@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
+#include "common/cancel.h"
 #include "core/error_variance.h"
 #include "fim/fpgrowth.h"
 #include "graph/bron_kerbosch.h"
@@ -185,6 +188,27 @@ TEST(ConstructBasisTest, DuplicateItemsHandled) {
   size_t zero_count = 0;
   for (const auto& b : basis->bases()) zero_count += b.Contains(0);
   EXPECT_EQ(zero_count, 1u);
+}
+
+// Line 2 honours the token. A Moon–Moser graph (complete multipartite,
+// parts of 3) on 60 nodes has 3^20 ≈ 3.5e9 maximal cliques, so an
+// enumeration that ignored the token could not finish in the bound.
+TEST(ConstructBasisTest, CancelStopsCliqueEnumeration) {
+  constexpr Item kNodes = 60;
+  std::vector<Item> items;
+  std::vector<Itemset> pairs;
+  for (Item a = 0; a < kNodes; ++a) {
+    items.push_back(a);
+    for (Item b = a + 1; b < kNodes; ++b) {
+      if (a / 3 != b / 3) pairs.push_back(Itemset({a, b}));
+    }
+  }
+  const CancelToken token = CancelToken::AfterMs(5);
+  const auto start = std::chrono::steady_clock::now();
+  auto basis = ConstructBasisSet(items, pairs, {.cancel = &token});
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(basis.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
 }  // namespace

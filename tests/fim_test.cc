@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "fim/apriori.h"
 #include "fim/brute_force.h"
 #include "fim/fpgrowth.h"
 #include "test_util.h"
@@ -38,17 +37,6 @@ TEST(BruteForceTest, RejectsZeroSupport) {
   EXPECT_FALSE(MineBruteForce(db, {.min_support = 0, .max_length = 2}).ok());
 }
 
-TEST(AprioriTest, MatchesBruteForceOnExample) {
-  TransactionDatabase db = MakeDb({
-      {0, 1, 3}, {1, 2}, {0, 1, 2}, {0, 2}, {0, 1, 2, 3},
-  });
-  MiningOptions options{.min_support = 2, .max_length = 4};
-  auto brute = MineBruteForce(db, options);
-  auto apriori = MineApriori(db, options);
-  ASSERT_TRUE(brute.ok() && apriori.ok());
-  EXPECT_EQ(apriori->itemsets, brute->itemsets);
-}
-
 TEST(FpGrowthTest, MatchesBruteForceOnExample) {
   TransactionDatabase db = MakeDb({
       {0, 1, 3}, {1, 2}, {0, 1, 2}, {0, 2}, {0, 1, 2, 3},
@@ -60,8 +48,8 @@ TEST(FpGrowthTest, MatchesBruteForceOnExample) {
   EXPECT_EQ(fp->itemsets, brute->itemsets);
 }
 
-// The central miner-agreement property: Apriori == FP-Growth == brute
-// force across randomized databases, thresholds, and length caps.
+// The central miner-agreement property: FP-Growth == brute force across
+// randomized databases, thresholds, and length caps.
 struct MinerAgreementCase {
   uint64_t seed;
   uint64_t min_support;
@@ -71,7 +59,7 @@ struct MinerAgreementCase {
 class MinerAgreementTest
     : public ::testing::TestWithParam<MinerAgreementCase> {};
 
-TEST_P(MinerAgreementTest, AllThreeAgree) {
+TEST_P(MinerAgreementTest, FpGrowthMatchesBruteForce) {
   const auto& param = GetParam();
   TransactionDatabase db = MakeRandomDb(
       {.seed = param.seed, .num_transactions = 70, .universe = 11,
@@ -79,11 +67,9 @@ TEST_P(MinerAgreementTest, AllThreeAgree) {
   MiningOptions options{.min_support = param.min_support,
                         .max_length = param.max_length};
   auto brute = MineBruteForce(db, options);
-  auto apriori = MineApriori(db, options);
   auto fp = MineFpGrowth(db, options);
-  ASSERT_TRUE(brute.ok() && apriori.ok() && fp.ok());
-  EXPECT_EQ(apriori->itemsets, brute->itemsets) << "apriori vs brute";
-  EXPECT_EQ(fp->itemsets, brute->itemsets) << "fpgrowth vs brute";
+  ASSERT_TRUE(brute.ok() && fp.ok());
+  EXPECT_EQ(fp->itemsets, brute->itemsets);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -95,14 +81,14 @@ INSTANTIATE_TEST_SUITE_P(
         MinerAgreementCase{7, 2, 1}, MinerAgreementCase{8, 4, 4},
         MinerAgreementCase{9, 20, 2}, MinerAgreementCase{10, 1, 2}));
 
-TEST(MinerAgreementTest, UnboundedLengthAprioriVsFpGrowth) {
-  // Brute force needs a cap; Apriori and FP-Growth also agree unbounded.
+TEST(MinerAgreementTest, UnboundedLengthFpGrowthVsBruteForce) {
+  // Brute force needs a cap; at the universe size it caps nothing, so it
+  // is the oracle for an unbounded FP-Growth mine.
   TransactionDatabase db = MakeRandomDb({.seed = 99, .universe = 9});
-  MiningOptions options{.min_support = 5};
-  auto apriori = MineApriori(db, options);
-  auto fp = MineFpGrowth(db, options);
-  ASSERT_TRUE(apriori.ok() && fp.ok());
-  EXPECT_EQ(apriori->itemsets, fp->itemsets);
+  auto brute = MineBruteForce(db, {.min_support = 5, .max_length = 9});
+  auto fp = MineFpGrowth(db, {.min_support = 5});
+  ASSERT_TRUE(brute.ok() && fp.ok());
+  EXPECT_EQ(fp->itemsets, brute->itemsets);
 }
 
 TEST(FpGrowthTest, MaxLengthCapRespected) {
@@ -136,18 +122,6 @@ TEST(FpGrowthTest, TruncatesOnMaxPatterns) {
   // Truncation contract: exactly max_patterns patterns, each exact.
   ASSERT_EQ(fp->itemsets.size(), 10u);
   for (const auto& fi : fp->itemsets) {
-    EXPECT_EQ(fi.support, db.SupportOf(fi.items));
-  }
-}
-
-TEST(AprioriTest, TruncatesOnMaxPatterns) {
-  TransactionDatabase db = MakeRandomDb({.seed = 31, .item_prob = 0.5});
-  MiningOptions options{.min_support = 1, .max_patterns = 10};
-  auto ap = MineApriori(db, options);
-  ASSERT_TRUE(ap.ok());
-  EXPECT_TRUE(ap->aborted);
-  ASSERT_EQ(ap->itemsets.size(), 10u);
-  for (const auto& fi : ap->itemsets) {
     EXPECT_EQ(fi.support, db.SupportOf(fi.items));
   }
 }

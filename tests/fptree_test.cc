@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "fim/apriori.h"
 #include "fim/brute_force.h"
 #include "fim/fpgrowth.h"
 #include "test_util.h"
@@ -193,8 +192,8 @@ TEST(FpTreeTest, MinesIdenticalPatternSetsToBruteForce) {
 /// Oracle coverage for the >64-rank build path: trees with more than 64
 /// frequent items cannot pack paths into one 64-bit key and take the
 /// lexicographic BuildFromPaths merge instead. Cross-check FP-Growth
-/// against Apriori (an independent implementation) on such a tree.
-TEST(FpTreeTest, WideTreeUsesPathMergeAndMatchesApriori) {
+/// against the brute-force oracle on such a tree.
+TEST(FpTreeTest, WideTreeUsesPathMergeAndMatchesBruteForce) {
   TransactionDatabase db = MakeRandomDb(
       {.seed = 97, .num_transactions = 400, .universe = 90,
        .item_prob = 0.15});
@@ -203,7 +202,7 @@ TEST(FpTreeTest, WideTreeUsesPathMergeAndMatchesApriori) {
   options.max_length = 4;
   FpTree tree(db, options.min_support);
   ASSERT_GT(tree.NumRanks(), 64u) << "universe too sparse for this test";
-  auto want = MineApriori(db, options);
+  auto want = MineBruteForce(db, options);
   ASSERT_TRUE(want.ok());
   for (size_t threads : {1u, 4u}) {
     options.num_threads = threads;

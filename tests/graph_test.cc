@@ -71,24 +71,6 @@ TEST(GraphTest, PairEndpointsOutsideItemsAdded) {
   EXPECT_TRUE(g.HasEdge(8, 9));
 }
 
-TEST(GraphTest, ConnectedComponents) {
-  ItemGraph g;
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(5, 6);
-  g.AddNode(9);
-  auto components = g.ConnectedComponents();
-  ASSERT_EQ(components.size(), 3u);
-  // Sort by size for deterministic checks.
-  std::sort(components.begin(), components.end(),
-            [](const Itemset& a, const Itemset& b) {
-              return a.size() > b.size();
-            });
-  EXPECT_EQ(components[0], Itemset({0, 1, 2}));
-  EXPECT_EQ(components[1], Itemset({5, 6}));
-  EXPECT_EQ(components[2], Itemset({9}));
-}
-
 TEST(GraphTest, DenseIndexAccess) {
   ItemGraph g;
   g.AddEdge(100, 200);

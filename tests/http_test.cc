@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/net.h"
 #include "core/batch_exec.h"
 #include "engine/dataset.h"
 #include "server/server.h"

@@ -1,7 +1,8 @@
 // The parallel counting engine's core contract: thread count is a pure
-// performance knob. Every path — the sharded BasisFreq scan, Eclat's
-// root-class dispatch, parallel top-k mining, and the hybrid index — must
-// produce bit-identical output at 1, 2, and 8 threads.
+// performance knob. Every path — the sharded BasisFreq scan, parallel
+// top-k mining, and the hybrid index — must produce bit-identical output
+// at 1, 2, and 8 threads. FP-Growth's thread-count determinism, plain and
+// truncated, is pinned in fptree_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,6 @@
 #include "core/basis_freq.h"
 #include "data/synthetic.h"
 #include "data/vertical_index.h"
-#include "fim/eclat.h"
 #include "fim/fpgrowth.h"
 #include "fim/topk.h"
 #include "test_util.h"
@@ -62,41 +62,6 @@ TEST(ParallelDeterminismTest, BasisFreqBitIdenticalAcrossThreadCounts) {
                 results[0].topk[j].noisy_count);
     }
   }
-}
-
-TEST(ParallelDeterminismTest, EclatIdenticalAcrossThreadCounts) {
-  const auto& db = BigDb();
-  std::vector<MiningResult> results;
-  for (size_t threads : {1u, 2u, 8u}) {
-    MiningOptions options;
-    options.min_support = db.NumTransactions() / 3;
-    options.num_threads = threads;
-    auto result = MineEclat(db, options);
-    ASSERT_TRUE(result.ok());
-    EXPECT_FALSE(result->aborted);
-    results.push_back(std::move(result).value());
-  }
-  EXPECT_FALSE(results[0].itemsets.empty());
-  EXPECT_EQ(results[0].itemsets, results[1].itemsets);
-  EXPECT_EQ(results[0].itemsets, results[2].itemsets);
-}
-
-TEST(ParallelDeterminismTest, EclatTruncationIdenticalAcrossThreadCounts) {
-  const auto& db = BigDb();
-  std::vector<MiningResult> results;
-  for (size_t threads : {1u, 2u, 8u}) {
-    MiningOptions options;
-    options.min_support = db.NumTransactions() / 6;
-    options.max_patterns = 37;
-    options.num_threads = threads;
-    auto result = MineEclat(db, options);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->aborted);
-    EXPECT_EQ(result->itemsets.size(), 37u);
-    results.push_back(std::move(result).value());
-  }
-  EXPECT_EQ(results[0].itemsets, results[1].itemsets);
-  EXPECT_EQ(results[0].itemsets, results[2].itemsets);
 }
 
 TEST(ParallelDeterminismTest, TopKIdenticalAcrossThreadCounts) {

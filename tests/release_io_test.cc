@@ -1,71 +1,34 @@
+// The release JSON codec's own edges. The lossless round trip and the
+// strict-shape rejections are pinned through the wire layer in wire_test.
 #include "eval/release_io.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 namespace privbasis {
 namespace {
 
-std::vector<NoisyItemset> Sample() {
-  return {
-      {Itemset({0}), 123.5},
-      {Itemset({2, 7}), 45.0},
-      {Itemset({1, 3, 9}), -2.25},
-  };
+Result<std::vector<NoisyItemset>> ParseRelease(const std::string& text) {
+  PRIVBASIS_ASSIGN_OR_RETURN(json::Value value, json::Parse(text));
+  return ReleaseItemsetsFromJson(value);
 }
 
-TEST(ReleaseIoTest, StringRoundTrip) {
-  std::string text = WriteReleaseTsv(Sample());
-  auto reread = ReadReleaseTsv(text);
+TEST(ReleaseIoTest, EmptyReleaseRoundTrips) {
+  auto reread = ParseRelease(ReleaseItemsetsToJson({}).Dump());
   ASSERT_TRUE(reread.ok()) << reread.status();
-  ASSERT_EQ(reread->size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ((*reread)[i].items, Sample()[i].items);
-    EXPECT_NEAR((*reread)[i].noisy_count, Sample()[i].noisy_count, 1e-6);
-  }
-}
-
-TEST(ReleaseIoTest, HeaderAndBlankLinesSkipped) {
-  auto result = ReadReleaseTsv("# comment\n\n1 2\t10.5\n");
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->size(), 1u);
-  EXPECT_EQ((*result)[0].items, Itemset({1, 2}));
-}
-
-TEST(ReleaseIoTest, RejectsMissingTab) {
-  EXPECT_FALSE(ReadReleaseTsv("1 2 10.5\n").ok());
-}
-
-TEST(ReleaseIoTest, RejectsEmptyItemset) {
-  EXPECT_FALSE(ReadReleaseTsv("\t10.5\n").ok());
-}
-
-TEST(ReleaseIoTest, RejectsMalformedCount) {
-  EXPECT_FALSE(ReadReleaseTsv("1 2\tnotanumber\n").ok());
-}
-
-TEST(ReleaseIoTest, FileRoundTrip) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "privbasis_release_test.tsv")
-          .string();
-  ASSERT_TRUE(WriteReleaseTsvFile(Sample(), path).ok());
-  auto reread = ReadReleaseTsvFile(path);
-  ASSERT_TRUE(reread.ok());
-  EXPECT_EQ(reread->size(), 3u);
-  std::remove(path.c_str());
-}
-
-TEST(ReleaseIoTest, MissingFileFails) {
-  EXPECT_FALSE(ReadReleaseTsvFile("/no/such/file.tsv").ok());
-}
-
-TEST(ReleaseIoTest, EmptyRelease) {
-  std::string text = WriteReleaseTsv({});
-  auto reread = ReadReleaseTsv(text);
-  ASSERT_TRUE(reread.ok());
   EXPECT_TRUE(reread->empty());
+}
+
+TEST(ReleaseIoTest, RejectsOutOfRangeAndMistypedValues) {
+  for (const char* text : {
+           R"([{"items": [4294967296], "noisy_count": 1}])",  // > Item max
+           R"([{"items": [1.5], "noisy_count": 1}])",
+           R"([{"items": [1], "noisy_count": "7"}])",
+           R"({"items": [1], "noisy_count": 1})",  // not an array
+       }) {
+    EXPECT_FALSE(ParseRelease(text).ok()) << text;
+  }
+  EXPECT_TRUE(ParseRelease(R"([{"items": [4294967295], "noisy_count": 1}])")
+                  .ok());
 }
 
 }  // namespace

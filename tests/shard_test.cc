@@ -6,7 +6,7 @@
 //   * Every CountExecutor op — item supports, pair supports, basis bin
 //     counts, batch itemset supports — merges per-shard partials to the
 //     bit-identical integers a single-shard scan produces, at 1/2/4/8
-//     shards, with candidates from all three exact miners.
+//     shards, with candidates from both exact miners.
 //   * The full mechanism through the executor seam: BasisFreq and
 //     Engine::Run produce bit-identical releases at every shard count
 //     and the same seed (the scan consumes no randomness, so the noise
@@ -24,8 +24,7 @@
 #include "data/vertical_index.h"
 #include "engine/dataset.h"
 #include "engine/engine.h"
-#include "fim/apriori.h"
-#include "fim/eclat.h"
+#include "fim/brute_force.h"
 #include "fim/fpgrowth.h"
 #include "shard/shard_exec.h"
 #include "shard/sharded_db.h"
@@ -142,14 +141,13 @@ TEST(ShardExecTest, SupportOfManyMergesExactlyForAllMiners) {
   mining.min_support = 4;
   mining.max_length = 4;
 
-  PRIVBASIS_ASSERT_OK_AND_ASSIGN(MiningResult apriori,
-                                 MineApriori(db, mining));
-  PRIVBASIS_ASSERT_OK_AND_ASSIGN(MiningResult eclat, MineEclat(db, mining));
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(MiningResult brute,
+                                 MineBruteForce(db, mining));
   PRIVBASIS_ASSERT_OK_AND_ASSIGN(MiningResult fpgrowth,
                                  MineFpGrowth(db, mining));
-  ASSERT_FALSE(apriori.itemsets.empty());
+  ASSERT_FALSE(brute.itemsets.empty());
 
-  for (const MiningResult* mined : {&apriori, &eclat, &fpgrowth}) {
+  for (const MiningResult* mined : {&brute, &fpgrowth}) {
     std::vector<Itemset> queries;
     std::vector<uint64_t> expected;
     for (const FrequentItemset& f : mined->itemsets) {

@@ -64,28 +64,6 @@ TEST(TransactionDbTest, SupportOfItemset) {
   EXPECT_NEAR(db.FrequencyOf(Itemset({0, 1})), 0.5, 1e-12);
 }
 
-TEST(TransactionDbTest, ProjectOnto) {
-  TransactionDatabase db = MakeDb({{0, 1, 2}, {1, 2}, {0}});
-  TransactionDatabase projected = db.ProjectOnto(Itemset({1, 2}));
-  EXPECT_EQ(projected.NumTransactions(), 3u);
-  EXPECT_EQ(projected.UniverseSize(), db.UniverseSize());
-  EXPECT_EQ(projected.Transaction(0).size(), 2u);
-  EXPECT_EQ(projected.Transaction(2).size(), 0u);  // item 0 removed
-  EXPECT_EQ(projected.ItemSupports()[0], 0u);
-  EXPECT_EQ(projected.ItemSupports()[1], 2u);
-}
-
-TEST(TransactionDbTest, ProjectionPreservesSubsetSupports) {
-  TransactionDatabase db = testing::MakeRandomDb({.seed = 9});
-  Itemset keep({0, 1, 2, 3});
-  TransactionDatabase projected = db.ProjectOnto(keep);
-  // Supports of itemsets inside the projection must be unchanged.
-  EXPECT_EQ(projected.SupportOf(Itemset({0, 1})), db.SupportOf(Itemset({0, 1})));
-  EXPECT_EQ(projected.SupportOf(Itemset({2, 3})), db.SupportOf(Itemset({2, 3})));
-  EXPECT_EQ(projected.SupportOf(Itemset({0, 1, 2, 3})),
-            db.SupportOf(Itemset({0, 1, 2, 3})));
-}
-
 TEST(TransactionDbTest, ItemsetAddTransactionOverload) {
   TransactionDatabase::Builder builder;
   builder.AddTransaction(Itemset({4, 2}));
