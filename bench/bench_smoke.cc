@@ -10,7 +10,7 @@
 //
 // Knobs: PRIVBASIS_SMOKE_REPS (min-of-N repetitions, default 5, min 3),
 // PRIVBASIS_SMOKE_SCALE (dataset scale multiplier, default 1.0), plus
-// the usual PRIVBASIS_THREADS / PRIVBASIS_SIMD / PRIVBASIS_BITMAP_DENSITY.
+// the usual PRIVBASIS_THREADS / PRIVBASIS_SIMD.
 #include <algorithm>
 #include <cstdlib>
 #include <functional>

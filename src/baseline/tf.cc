@@ -8,7 +8,6 @@
 #include "common/distributions.h"
 #include "common/logspace.h"
 #include "common/math_util.h"
-#include "dp/laplace_mechanism.h"
 #include "dp/order_statistics.h"
 #include "fim/fpgrowth.h"
 #include "fim/topk.h"
@@ -128,11 +127,6 @@ Result<TfRunner> TfRunner::Create(const TransactionDatabase& db, size_t k,
     runner.explicit_lookup_.insert(fi.items);
   }
   return runner;
-}
-
-TfEffectiveness TfRunner::Effectiveness(double epsilon) const {
-  return ComputeTfEffectiveness(db_->UniverseSize(), n_, fk_count_, k_,
-                                options_.m, epsilon, options_.rho);
 }
 
 void TfRunner::FillDiagnostics(double epsilon, TfResult* result) const {

@@ -84,9 +84,6 @@ class TfRunner {
                        PrivacyAccountant* accountant = nullptr,
                        const CancelToken* cancel = nullptr) const;
 
-  /// Equation-3 effectiveness diagnostics at a given ε.
-  TfEffectiveness Effectiveness(double epsilon) const;
-
   uint64_t fk_count() const { return fk_count_; }
   size_t num_explicit() const { return explicit_.size(); }
   uint64_t floor_support() const { return floor_support_; }

@@ -99,7 +99,6 @@ class PB_CAPABILITY("mutex") Mutex {
 
   void Lock() PB_ACQUIRE() { mu_.lock(); }
   void Unlock() PB_RELEASE() { mu_.unlock(); }
-  bool TryLock() PB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -162,20 +161,6 @@ class CondVar {
       if (WaitUntil(mu, tp) == std::cv_status::timeout) return pred();
     }
     return true;
-  }
-
-  template <typename Rep, typename Period>
-  std::cv_status WaitFor(Mutex& mu,
-                         const std::chrono::duration<Rep, Period>& d)
-      PB_REQUIRES(mu) {
-    return WaitUntil(mu, std::chrono::steady_clock::now() + d);
-  }
-
-  template <typename Rep, typename Period, typename Pred>
-  bool WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& d,
-               Pred pred) PB_REQUIRES(mu) {
-    return WaitUntil(mu, std::chrono::steady_clock::now() + d,
-                     std::move(pred));
   }
 
  private:

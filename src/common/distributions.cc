@@ -21,16 +21,6 @@ double LaplaceInverseCdf(double u, double scale) {
   return -scale * std::log(2.0 * (1.0 - u));
 }
 
-double LaplaceCdf(double x, double scale) {
-  if (x < 0) return 0.5 * std::exp(x / scale);
-  return 1.0 - 0.5 * std::exp(-x / scale);
-}
-
-double SampleExponential(Rng& rng, double rate) {
-  assert(rate > 0.0);
-  return -std::log(rng.NextDoubleOpen()) / rate;
-}
-
 double SampleGumbel(Rng& rng) {
   return -std::log(-std::log(rng.NextDoubleOpen()));
 }

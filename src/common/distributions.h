@@ -1,5 +1,5 @@
 // Samplers for the distributions the library needs: Laplace (the DP noise
-// workhorse), exponential, Gumbel (log-space exponential mechanism), Zipf
+// workhorse), Gumbel (log-space exponential mechanism), Zipf
 // (synthetic long-tail item marginals) and weighted discrete choice.
 #ifndef PRIVBASIS_COMMON_DISTRIBUTIONS_H_
 #define PRIVBASIS_COMMON_DISTRIBUTIONS_H_
@@ -18,12 +18,6 @@ double SampleLaplace(Rng& rng, double scale);
 
 /// Inverse CDF of Laplace(0, scale) at u ∈ (0, 1).
 double LaplaceInverseCdf(double u, double scale);
-
-/// CDF of Laplace(0, scale).
-double LaplaceCdf(double x, double scale);
-
-/// Sample from Exponential(rate): density rate·exp(−rate·x), x ≥ 0.
-double SampleExponential(Rng& rng, double rate);
 
 /// Sample from the standard Gumbel distribution: −log(−log(U)).
 double SampleGumbel(Rng& rng);

@@ -47,10 +47,6 @@ int NumThreads() {
       GetEnvInt("PRIVBASIS_THREADS", std::max<int64_t>(1, hw)), 1, 64));
 }
 
-double BitmapDensityThreshold() {
-  return GetEnvDouble("PRIVBASIS_BITMAP_DENSITY", 1.0 / 64.0);
-}
-
 int NumShards() {
   return static_cast<int>(
       std::clamp<int64_t>(GetEnvInt("PRIVBASIS_SHARDS", 1), 1, 64));

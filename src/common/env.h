@@ -30,11 +30,6 @@ int BenchRepeats();
 /// hardware concurrency. Clamped to [1, 64].
 int NumThreads();
 
-/// VerticalIndex densification threshold: items with frequency ≥ this get
-/// a dense bitmap tid-list. PRIVBASIS_BITMAP_DENSITY, default 1/64.
-/// Values ≥ 1 disable bitmaps; ≤ 0 densifies every item.
-double BitmapDensityThreshold();
-
 /// Default in-process shard count for Dataset handles: PRIVBASIS_SHARDS,
 /// default 1 (no sharding). Clamped to [1, 64]. Shard counts never
 /// change results — partial supports merge exactly (src/shard).

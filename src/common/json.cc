@@ -60,12 +60,6 @@ Value::Type Value::type() const {
   }
 }
 
-bool Value::is_number() const {
-  return std::holds_alternative<int64_t>(data_) ||
-         std::holds_alternative<uint64_t>(data_) ||
-         std::holds_alternative<double>(data_);
-}
-
 Result<bool> Value::GetBool() const {
   if (const bool* b = std::get_if<bool>(&data_)) return *b;
   return Status::InvalidArgument("JSON value is not a bool");

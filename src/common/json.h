@@ -72,12 +72,6 @@ class Value {
   Type type() const;
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(data_); }
-  bool is_bool() const { return std::holds_alternative<bool>(data_); }
-  /// True for any numeric storage (int64, uint64, or double).
-  bool is_number() const;
-  bool is_string() const { return std::holds_alternative<std::string>(data_); }
-  bool is_array() const { return std::holds_alternative<Array>(data_); }
-  bool is_object() const { return std::holds_alternative<Object>(data_); }
 
   // --- checked accessors (wire input is untrusted) ----------------------
 

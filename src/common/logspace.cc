@@ -1,7 +1,5 @@
 #include "common/logspace.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -12,33 +10,6 @@ namespace privbasis {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 }  // namespace
-
-double LogAddExp(double a, double b) {
-  if (a == kNegInf) return b;
-  if (b == kNegInf) return a;
-  double hi = std::max(a, b);
-  double lo = std::min(a, b);
-  return hi + std::log1p(std::exp(lo - hi));
-}
-
-double LogSumExp(const std::vector<double>& xs) {
-  double hi = kNegInf;
-  for (double x : xs) hi = std::max(hi, x);
-  if (hi == kNegInf) return kNegInf;
-  double sum = 0.0;
-  for (double x : xs) sum += std::exp(x - hi);
-  return hi + std::log(sum);
-}
-
-size_t SampleLogWeights(Rng& rng, const std::vector<double>& log_weights) {
-  assert(!log_weights.empty());
-  GumbelMaxSampler sampler(&rng);
-  for (size_t i = 0; i < log_weights.size(); ++i) {
-    sampler.Offer(i, log_weights[i]);
-  }
-  assert(sampler.HasWinner() && "all log-weights were -inf");
-  return sampler.WinnerKey();
-}
 
 GumbelMaxSampler::GumbelMaxSampler(Rng* rng) : rng_(rng) {}
 

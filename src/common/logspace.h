@@ -7,22 +7,10 @@
 #define PRIVBASIS_COMMON_LOGSPACE_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "common/rng.h"
 
 namespace privbasis {
-
-/// log(exp(a) + exp(b)) without overflow. Handles −inf identities.
-double LogAddExp(double a, double b);
-
-/// log(Σ exp(x_i)) without overflow. Returns −inf for an empty vector.
-double LogSumExp(const std::vector<double>& xs);
-
-/// Samples an index with P(i) ∝ exp(log_weights[i]) using the Gumbel-max
-/// trick: argmax_i (log w_i + G_i). Exact (up to floating point) and
-/// single-pass. Requires a non-empty vector with at least one finite entry.
-size_t SampleLogWeights(Rng& rng, const std::vector<double>& log_weights);
 
 /// Streaming Gumbel-max sampler: feed (key, log_weight) pairs one at a
 /// time; Winner() is distributed ∝ exp(log_weight). Lets callers sample
@@ -43,7 +31,6 @@ class GumbelMaxSampler {
 
   bool HasWinner() const { return has_winner_; }
   size_t WinnerKey() const { return winner_key_; }
-  double WinnerScore() const { return best_score_; }
 
  private:
   Rng* rng_;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 namespace privbasis {
 
@@ -16,34 +15,6 @@ double LogChoose(uint64_t n, uint64_t k) {
   if (k > n) return -std::numeric_limits<double>::infinity();
   if (k == 0 || k == n) return 0.0;
   return LogFactorial(n) - LogFactorial(k) - LogFactorial(n - k);
-}
-
-uint64_t ChooseSaturating(uint64_t n, uint64_t k) {
-  if (k > n) return 0;
-  k = std::min(k, n - k);
-  uint64_t result = 1;
-  for (uint64_t i = 1; i <= k; ++i) {
-    uint64_t factor = n - k + i;
-    // result = result * factor / i, guarding the multiply.
-    if (result > std::numeric_limits<uint64_t>::max() / factor) {
-      // Try dividing first; C(n,k) is an integer so result*factor/i is
-      // exact when computed as (result/g1)*(factor/g2) with gcd removal.
-      uint64_t g = std::gcd(result, i);
-      uint64_t r2 = result / g;
-      uint64_t i2 = i / g;
-      uint64_t g2 = std::gcd(factor, i2);
-      uint64_t f2 = factor / g2;
-      i2 /= g2;
-      assert(i2 == 1);
-      if (r2 > std::numeric_limits<uint64_t>::max() / f2) {
-        return std::numeric_limits<uint64_t>::max();
-      }
-      result = r2 * f2;
-    } else {
-      result = result * factor / i;
-    }
-  }
-  return result;
 }
 
 double LogCandidateSpaceSize(uint64_t n, uint64_t m) {

@@ -15,9 +15,6 @@ double LogFactorial(uint64_t n);
 /// log C(n, k); −inf when k > n.
 double LogChoose(uint64_t n, uint64_t k);
 
-/// C(n, k) saturating at UINT64_MAX on overflow.
-uint64_t ChooseSaturating(uint64_t n, uint64_t k);
-
 /// log(Σ_{i=1..m} C(n, i)) — the log-size of the TF candidate space U.
 double LogCandidateSpaceSize(uint64_t n, uint64_t m);
 

@@ -58,34 +58,10 @@ uint64_t Rng::UniformInt(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
-  return lo + static_cast<int64_t>(
-                  UniformInt(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return NextDouble() < p;
-}
-
-Rng Rng::ForkStream(uint64_t stream) const {
-  // Fold the full 256-bit state and the stream index through SplitMix64;
-  // const on the parent so shards can be seeded concurrently.
-  uint64_t sm = stream ^ 0xd1b54a32d192ed03ULL;
-  for (uint64_t word : s_) {
-    sm ^= word;
-    sm = SplitMix64Next(&sm);
-  }
-  return Rng(sm);
-}
-
-Rng Rng::Fork() {
-  // Mix two fresh outputs into a child seed; advances this stream so
-  // successive forks differ.
-  uint64_t a = Next();
-  uint64_t b = Next();
-  return Rng(a ^ Rotl(b, 31) ^ 0xd1b54a32d192ed03ULL);
 }
 
 }  // namespace privbasis

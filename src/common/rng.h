@@ -2,9 +2,7 @@
 //
 // The library threads an explicit Rng through every randomized component so
 // experiments are exactly reproducible from a single seed. The engine is
-// xoshiro256** (public domain, Blackman & Vigna) seeded via SplitMix64,
-// which also powers Fork(): child streams are decorrelated from the parent
-// without sharing state.
+// xoshiro256** (public domain, Blackman & Vigna) seeded via SplitMix64.
 #ifndef PRIVBASIS_COMMON_RNG_H_
 #define PRIVBASIS_COMMON_RNG_H_
 
@@ -46,20 +44,8 @@ class Rng {
   /// `bound` must be > 0.
   uint64_t UniformInt(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformRange(int64_t lo, int64_t hi);
-
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool Bernoulli(double p);
-
-  /// Derives an independent child stream. Deterministic: the i-th Fork()
-  /// from a given parent state is always the same stream.
-  Rng Fork();
-
-  /// Derives the `stream`-th child stream *without* advancing this engine.
-  /// The same (parent state, stream) pair always yields the same child, so
-  /// shard-indexed streams stay reproducible under any thread count.
-  Rng ForkStream(uint64_t stream) const;
 
  private:
   uint64_t s_[4];

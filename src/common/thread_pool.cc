@@ -37,11 +37,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-size_t ThreadPool::NumWorkers() const {
-  MutexLock lock(mu_);
-  return workers_.size();
-}
-
 ThreadPool& ThreadPool::Global() {
   static ThreadPool* pool = [] {
     auto* p = new ThreadPool(0);

@@ -3,8 +3,7 @@
 // Design constraints, in order:
 //   1. Determinism. Work is decomposed into *shards* whose boundaries
 //      depend only on (range, grain) — never on the thread count — so a
-//      shard-indexed reduction (or a per-shard RNG stream derived with
-//      Rng::ForkStream) produces bit-identical results at any
+//      shard-indexed reduction produces bit-identical results at any
 //      parallelism, including 1.
 //   2. No work stealing, no task dependencies: every parallel region is a
 //      flat shard set drained via one atomic cursor. The calling thread
@@ -43,8 +42,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  size_t NumWorkers() const PB_EXCLUDES(mu_);
 
   /// Process-wide pool. Grows its worker set on demand up to
   /// kMaxThreads − 1, so the first caller does not fix the ceiling.

@@ -1,7 +1,6 @@
 #include "core/basis.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace privbasis {
 
@@ -9,45 +8,6 @@ size_t BasisSet::Length() const {
   size_t len = 0;
   for (const auto& b : bases_) len = std::max(len, b.size());
   return len;
-}
-
-void BasisSet::Merge(size_t i, size_t j) {
-  assert(i != j && i < bases_.size() && j < bases_.size());
-  if (i > j) std::swap(i, j);
-  bases_[i] = bases_[i].Union(bases_[j]);
-  bases_.erase(bases_.begin() + static_cast<ptrdiff_t>(j));
-}
-
-bool BasisSet::Covers(const Itemset& itemset) const {
-  for (const auto& b : bases_) {
-    if (itemset.IsSubsetOf(b)) return true;
-  }
-  return false;
-}
-
-std::vector<size_t> BasisSet::CoveringBases(const Itemset& itemset) const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < bases_.size(); ++i) {
-    if (itemset.IsSubsetOf(bases_[i])) out.push_back(i);
-  }
-  return out;
-}
-
-uint64_t BasisSet::CandidateUpperBound() const {
-  uint64_t total = 0;
-  for (const auto& b : bases_) {
-    assert(b.size() < 64);
-    total += (uint64_t{1} << b.size()) - 1;
-  }
-  return total;
-}
-
-Itemset BasisSet::AllItems() const {
-  std::vector<Item> all;
-  for (const auto& b : bases_) {
-    all.insert(all.end(), b.begin(), b.end());
-  }
-  return Itemset(std::move(all));
 }
 
 std::string BasisSet::ToString() const {

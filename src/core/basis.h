@@ -32,24 +32,6 @@ class BasisSet {
 
   void Add(Itemset basis) { bases_.push_back(std::move(basis)); }
 
-  /// Replaces bases i and j (i != j) with their union (Proposition 4:
-  /// the result is still a θ-basis set, with width w−1).
-  void Merge(size_t i, size_t j);
-
-  /// True iff some basis contains `itemset`.
-  bool Covers(const Itemset& itemset) const;
-
-  /// Indices of all bases containing `itemset` (the multi-estimate fusion
-  /// in BasisFreq needs all of them).
-  std::vector<size_t> CoveringBases(const Itemset& itemset) const;
-
-  /// |C(B)| counting duplicates once is expensive; this returns the upper
-  /// bound Σ_i (2^{|B_i|} − 1), the number of (basis, subset) pairs.
-  uint64_t CandidateUpperBound() const;
-
-  /// Distinct union of all bases' items.
-  Itemset AllItems() const;
-
   std::string ToString() const;
 
  private:

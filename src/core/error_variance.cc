@@ -1,55 +1,13 @@
 #include "core/error_variance.h"
 
 #include <cassert>
-#include <limits>
+#include <cstdint>
 
 namespace privbasis {
 
 double VarianceUnits(size_t basis_len, size_t subset_len) {
   assert(subset_len <= basis_len && basis_len < 64);
   return static_cast<double>(uint64_t{1} << (basis_len - subset_len));
-}
-
-double CombineVarianceUnits(std::span<const double> units) {
-  if (units.empty()) return std::numeric_limits<double>::infinity();
-  // Fold v <- v*u/(v+u); associative and order-independent (it is the
-  // harmonic composition 1/v = Σ 1/u_i).
-  double inv_sum = 0.0;
-  for (double u : units) {
-    assert(u > 0.0);
-    inv_sum += 1.0 / u;
-  }
-  return 1.0 / inv_sum;
-}
-
-double AverageCaseEv(const BasisSet& basis_set,
-                     std::span<const Itemset> queries) {
-  if (queries.empty()) return 0.0;
-  const double w2 = static_cast<double>(basis_set.Width()) *
-                    static_cast<double>(basis_set.Width());
-  double total = 0.0;
-  std::vector<double> units;
-  for (const auto& query : queries) {
-    units.clear();
-    for (const auto& b : basis_set.bases()) {
-      if (query.IsSubsetOf(b)) {
-        units.push_back(VarianceUnits(b.size(), query.size()));
-      }
-    }
-    total += w2 * CombineVarianceUnits(units);
-  }
-  return total / static_cast<double>(queries.size());
-}
-
-double WorstCaseEv(const BasisSet& basis_set) {
-  const double w2 = static_cast<double>(basis_set.Width()) *
-                    static_cast<double>(basis_set.Width());
-  return w2 * static_cast<double>(uint64_t{1} << basis_set.Length());
-}
-
-double EvUnitsToFrequencyVariance(double units, double epsilon, uint64_t n) {
-  double en = epsilon * static_cast<double>(n);
-  return units * 2.0 / (en * en);
 }
 
 }  // namespace privbasis

@@ -6,18 +6,13 @@
 // weighting, yielding v1·v2/(v1+v2). Algorithm 2's greedy merge minimizes
 // the *average-case* EV over the query set Q = F ∪ P.
 //
-// All functions work in "variance units": EV / (2/(ε²N²)), i.e. the unit
+// EV is kept in "variance units": EV / (2/(ε²N²)), i.e. the unit
 // nv = 2^{|Bi|−|X|} of Algorithm 1 scaled by w². ε and N are constants
 // within one construction, so unit-free comparison is exact.
 #ifndef PRIVBASIS_CORE_ERROR_VARIANCE_H_
 #define PRIVBASIS_CORE_ERROR_VARIANCE_H_
 
-#include <cstdint>
-#include <span>
-#include <vector>
-
-#include "core/basis.h"
-#include "data/itemset.h"
+#include <cstddef>
 
 namespace privbasis {
 
@@ -25,25 +20,6 @@ namespace privbasis {
 /// summed when recovering a subset of that length. Requires
 /// subset_len ≤ basis_len < 64.
 double VarianceUnits(size_t basis_len, size_t subset_len);
-
-/// Inverse-variance fusion: fold of v1·v2/(v1+v2) over all estimates.
-/// Empty input returns +inf (no estimate at all).
-double CombineVarianceUnits(std::span<const double> units);
-
-/// Average-case EV (in w²-scaled variance units) of answering every query
-/// in `queries` from `basis_set`: mean over queries of
-/// w² · combine({2^{|Bi|−|X|} : X ⊆ Bi}). Queries covered by no basis
-/// contribute +inf — callers keep coverage as an invariant.
-double AverageCaseEv(const BasisSet& basis_set,
-                     std::span<const Itemset> queries);
-
-/// Worst-case EV in the same units: w² · 2^ℓ (the §4.2 bound, up to the
-/// shared constant).
-double WorstCaseEv(const BasisSet& basis_set);
-
-/// Converts w²-scaled variance units into the absolute frequency-domain
-/// error variance of Equation 4: units · 2/(ε²N²).
-double EvUnitsToFrequencyVariance(double units, double epsilon, uint64_t n);
 
 }  // namespace privbasis
 

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 namespace privbasis {
 
@@ -58,35 +57,6 @@ Result<LoadedDataset> ReadFimiFile(const std::string& path) {
                            std::strerror(errno));
   }
   return ParseFimi(in, path);
-}
-
-Result<LoadedDataset> ReadFimiString(const std::string& text) {
-  std::istringstream in(text);
-  return ParseFimi(in, "<string>");
-}
-
-Status WriteFimiFile(const TransactionDatabase& db, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open '" + path + "' for writing: " +
-                           std::strerror(errno));
-  }
-  out << WriteFimiString(db);
-  if (!out) return Status::IoError("write to '" + path + "' failed");
-  return Status::OK();
-}
-
-std::string WriteFimiString(const TransactionDatabase& db) {
-  std::string out;
-  for (size_t i = 0; i < db.NumTransactions(); ++i) {
-    auto txn = db.Transaction(i);
-    for (size_t j = 0; j < txn.size(); ++j) {
-      if (j > 0) out += ' ';
-      out += std::to_string(txn[j]);
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace privbasis

@@ -1,4 +1,4 @@
-// Reading/writing transaction data in the FIMI repository format used by
+// Reading transaction data in the FIMI repository format used by
 // the paper's datasets (http://fimi.ua.ac.be/data/): one transaction per
 // line, space-separated integer item ids.
 #ifndef PRIVBASIS_DATA_DATASET_IO_H_
@@ -23,15 +23,6 @@ struct LoadedDataset {
 /// Parses a FIMI-format file. Raw ids are remapped to dense ids in first-
 /// appearance order. Blank lines are skipped; malformed tokens fail.
 Result<LoadedDataset> ReadFimiFile(const std::string& path);
-
-/// Parses FIMI-format text from a string (used by tests).
-Result<LoadedDataset> ReadFimiString(const std::string& text);
-
-/// Writes `db` in FIMI format (dense ids). Overwrites `path`.
-Status WriteFimiFile(const TransactionDatabase& db, const std::string& path);
-
-/// Serializes `db` to FIMI-format text.
-std::string WriteFimiString(const TransactionDatabase& db);
 
 }  // namespace privbasis
 

@@ -88,13 +88,6 @@ Itemset Itemset::Union(const Itemset& other) const {
   return FromSorted(out);
 }
 
-Itemset Itemset::Intersect(const Itemset& other) const {
-  std::vector<Item> out;
-  std::set_intersection(begin(), end(), other.begin(), other.end(),
-                        std::back_inserter(out));
-  return FromSorted(out);
-}
-
 Itemset Itemset::Difference(const Itemset& other) const {
   std::vector<Item> out;
   std::set_difference(begin(), end(), other.begin(), other.end(),

@@ -59,9 +59,8 @@ class Itemset {
   bool IsSubsetOf(const Itemset& other) const;
   bool IsSubsetOf(std::span<const Item> sorted_other) const;
 
-  /// Set union / intersection / difference (linear merges).
+  /// Set union / difference (linear merges).
   Itemset Union(const Itemset& other) const;
-  Itemset Intersect(const Itemset& other) const;
   Itemset Difference(const Itemset& other) const;
 
   /// Copy with `item` added (no-op copy if already present).

@@ -181,13 +181,6 @@ uint64_t ScaledCount(uint64_t n, double scale) {
 
 }  // namespace
 
-uint32_t SyntheticProfile::TotalUniverseSize() const {
-  if (kind == Kind::kMarketBasket) return universe_size;
-  uint32_t total = 0;
-  for (const auto& attr : attributes) total += attr.num_values;
-  return total;
-}
-
 Result<TransactionDatabase> GenerateDataset(const SyntheticProfile& profile,
                                             uint64_t seed) {
   if (profile.num_transactions == 0) {

@@ -73,10 +73,6 @@ struct SyntheticProfile {
   std::vector<CategoricalAttribute> attributes;
   double class1_prob = 0.0;  ///< latent class mixture weight
 
-  /// Total item universe (market-basket: universe_size; categorical: sum
-  /// of attribute cardinalities).
-  uint32_t TotalUniverseSize() const;
-
   // Factory presets calibrated to Table 2(a). `scale` multiplies the
   // transaction count (benchmarks use PRIVBASIS_SCALE); the item universe
   // and frequency landscape are scale-invariant.

@@ -6,7 +6,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/env.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 
@@ -108,12 +107,11 @@ VerticalIndex::VerticalIndex(const TransactionDatabase& db,
 
 uint64_t VerticalIndex::MinDenseSupport(size_t num_transactions,
                                         double density_threshold) {
-  if (density_threshold < 0.0) density_threshold = BitmapDensityThreshold();
+  assert(density_threshold >= 0.0);
   if (!(density_threshold < 1.0) || num_transactions == 0) return UINT64_MAX;
   return std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::ceil(std::max(0.0, density_threshold) *
-                       static_cast<double>(num_transactions))));
+      1, static_cast<uint64_t>(std::ceil(
+             density_threshold * static_cast<double>(num_transactions))));
 }
 
 std::span<const uint32_t> VerticalIndex::TidList(Item item) const {

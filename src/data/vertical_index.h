@@ -26,14 +26,16 @@
 
 namespace privbasis {
 
+/// Items with frequency ≥ this get a dense bitmap besides their tid-list.
+inline constexpr double kBitmapDensityThreshold = 1.0 / 64;
+
 /// Immutable tid-list index over a TransactionDatabase.
 class VerticalIndex {
  public:
   struct Options {
-    /// Items with frequency ≥ this also get a dense bitmap. Negative =
-    /// read the PRIVBASIS_BITMAP_DENSITY env knob (default 1/64). Values
-    /// ≥ 1 disable bitmaps; 0 densifies every occurring item.
-    double density_threshold = -1.0;
+    /// Items with frequency ≥ this also get a dense bitmap. Values ≥ 1
+    /// disable bitmaps; 0 densifies every occurring item.
+    double density_threshold = kBitmapDensityThreshold;
     /// Construction parallelism; 0 = the PRIVBASIS_THREADS env knob.
     size_t num_threads = 0;
   };
@@ -73,11 +75,11 @@ class VerticalIndex {
 
   /// The bitmap rule: an item whose support is at least this many
   /// transactions, out of `num_transactions`, gets a dense bitmap.
-  /// `density_threshold` reads as Options::density_threshold (negative =
-  /// the PRIVBASIS_BITMAP_DENSITY env knob); UINT64_MAX when no item
-  /// gets one.
-  static uint64_t MinDenseSupport(size_t num_transactions,
-                                  double density_threshold = -1.0);
+  /// `density_threshold` (≥ 0) reads as Options::density_threshold;
+  /// UINT64_MAX when no item gets one.
+  static uint64_t MinDenseSupport(
+      size_t num_transactions,
+      double density_threshold = kBitmapDensityThreshold);
 
   /// True iff `item` is backed by a dense bitmap (diagnostics / tests).
   bool IsDense(Item item) const {

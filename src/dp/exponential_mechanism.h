@@ -18,35 +18,6 @@
 
 namespace privbasis {
 
-/// Parameters of one exponential-mechanism invocation.
-struct EmOptions {
-  /// Privacy parameter of this invocation.
-  double epsilon = 1.0;
-  /// Global sensitivity GS_q of the quality function.
-  double sensitivity = 1.0;
-  /// When the quality function is monotone (a single tuple change moves
-  /// all qualities in one direction), the factor 1/2 in the exponent can
-  /// be dropped, doubling effective accuracy.
-  bool monotonic = false;
-};
-
-/// Exponent multiplier applied to qualities: ε / ((monotonic ? 1 : 2)·GS).
-double EmExponentFactor(const EmOptions& options);
-
-/// Selects an index with P(i) ∝ exp(factor · qualities[i]).
-/// `qualities` must be non-empty.
-Result<size_t> ExponentialMechanismSelect(Rng& rng,
-                                          std::span<const double> qualities,
-                                          const EmOptions& options);
-
-/// Repeated exponential mechanism *without replacement*: `count` rounds,
-/// each spending options.epsilon / count, re-normalized over the remaining
-/// candidates (the paper's GetFreqElements). Returns distinct indices in
-/// selection order. Requires count ≤ qualities.size().
-Result<std::vector<size_t>> ExponentialMechanismSelectK(
-    Rng& rng, std::span<const double> qualities, size_t count,
-    const EmOptions& options);
-
 /// Candidates with integer qualities, grouped by quality value.
 ///
 /// Candidates sharing a quality are exchangeable under the exponential

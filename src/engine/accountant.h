@@ -156,10 +156,6 @@ class BudgetLease {
   /// fail, the ledger must not under-count.
   Status Commit(double actual, std::vector<Accountant::Entry> breakdown = {});
 
-  /// Commits the full reservation (the common "mechanism spends exactly
-  /// what it asked for" case).
-  Status CommitAll() { return Commit(reserved_); }
-
  private:
   friend class Accountant;
   BudgetLease(Accountant* accountant, double reserved, std::string label,

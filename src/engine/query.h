@@ -105,14 +105,6 @@ struct QuerySpec {
     rule_options.min_confidence = min_confidence;
     return *this;
   }
-  QuerySpec& WithLabel(std::string ledger_label) {
-    label = std::move(ledger_label);
-    return *this;
-  }
-  QuerySpec& WithCancel(const CancelToken* token) {
-    cancel = token;
-    return *this;
-  }
 
   /// The label this query's spend is committed under.
   std::string LedgerLabel() const;

@@ -294,16 +294,6 @@ void FpTree::FinishIndexes() {
             });
 }
 
-uint32_t FpTree::FindChild(uint32_t node, uint32_t rank) const {
-  const auto kids = Children(node);
-  auto it = std::lower_bound(kids.begin(), kids.end(), rank,
-                             [&](uint32_t child, uint32_t r) {
-                               return node_rank_[child] < r;
-                             });
-  if (it != kids.end() && node_rank_[*it] == rank) return *it;
-  return kNil;
-}
-
 FpTree FpTree::ConditionalTree(uint32_t rank, uint64_t min_support) const {
   // Pass 1: conditional supports of every rank occurring on prefix paths,
   // streamed over the contiguous per-rank node index. Only ranks < `rank`

@@ -82,10 +82,6 @@ class FpTree {
         children_.data() + child_offsets_[node + 1]);
   }
 
-  /// The child of `node` carrying `rank`, or kNil. Binary search over the
-  /// rank-sorted child slice.
-  uint32_t FindChild(uint32_t node, uint32_t rank) const;
-
   /// Every node carrying `rank`, as one contiguous ascending slice
   /// (replaces the textbook header chains).
   std::span<const uint32_t> NodesOfRank(uint32_t rank) const {

@@ -44,23 +44,4 @@ bool ItemGraph::HasEdge(Item a, Item b) const {
   return adjacency_[ia->second][ib->second] != 0;
 }
 
-size_t ItemGraph::Degree(Item node) const {
-  auto it = index_.find(node);
-  if (it == index_.end()) return 0;
-  size_t d = 0;
-  for (uint8_t a : adjacency_[it->second]) d += a;
-  return d;
-}
-
-std::vector<Item> ItemGraph::Neighbors(Item node) const {
-  std::vector<Item> out;
-  auto it = index_.find(node);
-  if (it == index_.end()) return out;
-  const auto& row = adjacency_[it->second];
-  for (size_t j = 0; j < row.size(); ++j) {
-    if (row[j]) out.push_back(nodes_[j]);
-  }
-  return out;
-}
-
 }  // namespace privbasis

@@ -33,20 +33,10 @@ class ItemGraph {
   size_t NumNodes() const { return nodes_.size(); }
   size_t NumEdges() const { return num_edges_; }
 
-  /// All nodes in insertion order.
-  const std::vector<Item>& Nodes() const { return nodes_; }
-
   bool HasNode(Item node) const { return index_.contains(node); }
   bool HasEdge(Item a, Item b) const;
 
-  /// Degree of `node`; 0 when absent.
-  size_t Degree(Item node) const;
-
-  /// Neighbors of `node` (unsorted item ids).
-  std::vector<Item> Neighbors(Item node) const;
-
-  // -- dense-index access for clique algorithms ------------------------
-  size_t IndexOf(Item node) const { return index_.at(node); }
+  // -- dense-index access for clique algorithms (insertion order) ------
   Item NodeAt(size_t idx) const { return nodes_[idx]; }
   bool HasEdgeByIndex(size_t a, size_t b) const {
     return adjacency_[a][b] != 0;

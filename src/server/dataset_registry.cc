@@ -259,12 +259,4 @@ size_t DatasetRegistry::size() const {
   return datasets_.size();
 }
 
-std::vector<std::string> DatasetRegistry::ids() const {
-  MutexLock lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(datasets_.size());
-  for (const auto& [id, dataset] : datasets_) out.push_back(id);
-  return out;
-}
-
 }  // namespace privbasis::server

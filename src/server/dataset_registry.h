@@ -131,7 +131,6 @@ class DatasetRegistry {
   bool Remove(const std::string& id);
 
   size_t size() const;
-  std::vector<std::string> ids() const;
 
  private:
   /// Inserts under mu_, running the hook first unless `recovered`.

@@ -57,23 +57,18 @@ struct HttpLimits {
   size_t max_body_bytes = 1024 * 1024;
 };
 
-/// How reading one request ended. kClosed (clean EOF between requests)
-/// is the one non-response outcome; all others either carry a request or
-/// name the response the server must send.
+/// A protocol error the event loop answers without routing the request;
+/// each names the response the server must send.
 enum class HttpReadOutcome {
-  kOk,              ///< `request` is complete
-  kClosed,          ///< orderly EOF before any request byte
   kTimeout,         ///< deadline hit mid-request → 408
   kMalformed,       ///< grammar violation → 400
   kHeaderTooLarge,  ///< → 431
   kBodyTooLarge,    ///< → 413
-  kIoError,         ///< transport error; just drop the connection
 };
 
-/// How one non-blocking parse attempt over a byte buffer ended. The
-/// pure-buffer twin of HttpReadOutcome: no transport, no deadline —
-/// kNeedMore simply means "feed me more bytes", so the epoll event loop
-/// can feed it whatever bytes have arrived.
+/// How one non-blocking parse attempt over a byte buffer ended. kNeedMore
+/// means "feed me more bytes", so the epoll event loop can feed it
+/// whatever bytes have arrived.
 enum class HttpParseOutcome {
   kNeedMore,        ///< incomplete; append more bytes and call again
   kOk,              ///< `request` is complete (consumed from the buffer)

@@ -39,8 +39,6 @@ class LocalShardExecutor : public CountExecutor {
   Result<std::vector<uint64_t>> ItemSupports(
       const CancelToken* cancel) const override;
 
-  const ShardedDatabase& sharded_db() const { return *shards_; }
-
  private:
   std::shared_ptr<const ShardedDatabase> shards_;
   size_t num_threads_;

@@ -123,11 +123,6 @@ Status Reader::Need(size_t bytes) const {
   return Status::OK();
 }
 
-Result<uint8_t> Reader::GetU8() {
-  PRIVBASIS_RETURN_NOT_OK(Need(1));
-  return static_cast<uint8_t>(data_[pos_++]);
-}
-
 Result<uint32_t> Reader::GetU32() {
   PRIVBASIS_RETURN_NOT_OK(Need(4));
   uint32_t v;

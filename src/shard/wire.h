@@ -75,7 +75,6 @@ Result<Frame> ReadFrame(const net::Fd& fd, net::Deadline deadline);
 /// Append-only payload encoder.
 class Writer {
  public:
-  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   /// u32 length + raw bytes.
@@ -97,7 +96,6 @@ class Reader {
  public:
   explicit Reader(std::string_view payload) : data_(payload) {}
 
-  Result<uint8_t> GetU8();
   Result<uint32_t> GetU32();
   Result<uint64_t> GetU64();
   Result<std::string> GetString();

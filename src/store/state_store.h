@@ -79,7 +79,6 @@ class StateStore {
   Status PersistEviction(const std::string& id);
 
   const std::string& dir() const { return dir_; }
-  const WalReplay& wal_replay() const { return wal_->recovered(); }
 
  private:
   struct ManifestEntry {

@@ -121,18 +121,6 @@ Result<FsyncMode> ParseFsyncMode(const std::string& name) {
                                  "' (want always|commit|never)");
 }
 
-const char* FsyncModeName(FsyncMode mode) {
-  switch (mode) {
-    case FsyncMode::kAlways:
-      return "always";
-    case FsyncMode::kCommit:
-      return "commit";
-    case FsyncMode::kNever:
-      return "never";
-  }
-  return "?";
-}
-
 std::string EncodeWalRecord(const WalRecord& record) {
   std::string out;
   out.push_back(static_cast<char>(record.type));

@@ -56,7 +56,6 @@ enum class FsyncMode { kAlways, kCommit, kNever };
 
 /// Parses "always"/"commit"/"never" (the --fsync flag).
 Result<FsyncMode> ParseFsyncMode(const std::string& name);
-const char* FsyncModeName(FsyncMode mode);
 
 /// One decoded WAL record (the golden-file tests encode/decode these
 /// byte-exactly).

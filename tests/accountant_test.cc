@@ -54,7 +54,7 @@ TEST(AccountantTest, OverdraftReturnsBudgetExhausted) {
   // After the small commit the headroom is back.
   auto third = accountant.Acquire(0.3, "c");
   EXPECT_TRUE(third.ok());
-  third->CommitAll();
+  third->Commit(third->reserved());
   EXPECT_NEAR(accountant.spent_epsilon(), 0.4, 1e-12);
 }
 
@@ -109,7 +109,7 @@ TEST(AccountantTest, UnlimitedBudgetTracksButNeverRefuses) {
   for (int i = 0; i < 100; ++i) {
     auto lease = accountant.Acquire(10.0, "q");
     ASSERT_TRUE(lease.ok());
-    lease->CommitAll();
+    lease->Commit(lease->reserved());
   }
   EXPECT_NEAR(accountant.spent_epsilon(), 1000.0, 1e-9);
   EXPECT_EQ(accountant.remaining_epsilon(),
@@ -127,7 +127,7 @@ TEST(AccountantTest, ConcurrentAcquiresNeverOversubscribe) {
     threads.emplace_back([&accountant, &granted] {
       auto lease = accountant.Acquire(0.1, "t");
       if (lease.ok()) {
-        lease->CommitAll();
+        lease->Commit(lease->reserved());
         granted.fetch_add(1);
       }
     });
@@ -185,7 +185,7 @@ TEST(AccountantTest, JournalReserveFailureRefusesWithLedgerUntouched) {
   journal->fail_reserve = false;
   auto granted = accountant.Acquire(0.5, "q");
   ASSERT_TRUE(granted.ok());
-  EXPECT_TRUE(granted->CommitAll().ok());
+  EXPECT_TRUE(granted->Commit(granted->reserved()).ok());
   EXPECT_EQ(journal->commits, 1);
 }
 
@@ -274,7 +274,7 @@ TEST(AccountantTest, ConcurrentReserveAbortFuzzBalancesExactly) {
         ASSERT_TRUE(lease.ok());
         switch (rng() % 3) {
           case 0:
-            ASSERT_TRUE(lease->CommitAll().ok());
+            ASSERT_TRUE(lease->Commit(lease->reserved()).ok());
             expected[t] += eps;
             break;
           case 1:

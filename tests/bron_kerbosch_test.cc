@@ -98,7 +98,8 @@ TEST(BronKerboschTest, OutputSortedBySizeThenLex) {
 
 // Reference: brute-force maximal-clique enumeration over all subsets.
 std::set<Itemset> BruteForceCliques(const ItemGraph& g) {
-  std::vector<Item> nodes = g.Nodes();
+  std::vector<Item> nodes;
+  for (size_t i = 0; i < g.NumNodes(); ++i) nodes.push_back(g.NodeAt(i));
   size_t n = nodes.size();
   std::vector<Itemset> all_cliques;
   for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {

@@ -4,14 +4,24 @@
 
 #include <cstdio>
 #include <filesystem>
-
-#include "test_util.h"
+#include <fstream>
 
 namespace privbasis {
 namespace {
 
+/// Parses `text` through the file reader.
+Result<LoadedDataset> ReadFimiText(const std::string& text) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "privbasis_io_test.dat")
+          .string();
+  std::ofstream(path) << text;
+  auto result = ReadFimiFile(path);
+  std::remove(path.c_str());
+  return result;
+}
+
 TEST(DatasetIoTest, ParsesSimpleFimi) {
-  auto result = ReadFimiString("1 2 3\n2 3\n3\n");
+  auto result = ReadFimiText("1 2 3\n2 3\n3\n");
   ASSERT_TRUE(result.ok()) << result.status();
   const auto& db = result->db;
   EXPECT_EQ(db.NumTransactions(), 3u);
@@ -21,7 +31,7 @@ TEST(DatasetIoTest, ParsesSimpleFimi) {
 }
 
 TEST(DatasetIoTest, RemapsInFirstAppearanceOrder) {
-  auto result = ReadFimiString("100 7\n7 9\n");
+  auto result = ReadFimiText("100 7\n7 9\n");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->dense_to_raw, (std::vector<uint64_t>{100, 7, 9}));
   EXPECT_EQ(result->db.Transaction(0)[0], 0u);  // 100 -> 0
@@ -29,61 +39,28 @@ TEST(DatasetIoTest, RemapsInFirstAppearanceOrder) {
 }
 
 TEST(DatasetIoTest, SkipsBlankLines) {
-  auto result = ReadFimiString("1 2\n\n   \n3\n");
+  auto result = ReadFimiText("1 2\n\n   \n3\n");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->db.NumTransactions(), 2u);
 }
 
 TEST(DatasetIoTest, HandlesExtraWhitespace) {
-  auto result = ReadFimiString("  1   2 \t 3\r\n4\n");
+  auto result = ReadFimiText("  1   2 \t 3\r\n4\n");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->db.NumTransactions(), 2u);
   EXPECT_EQ(result->db.Transaction(0).size(), 3u);
 }
 
 TEST(DatasetIoTest, RejectsMalformedToken) {
-  auto result = ReadFimiString("1 banana 3\n");
+  auto result = ReadFimiText("1 banana 3\n");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST(DatasetIoTest, DuplicateItemsInLineDeduped) {
-  auto result = ReadFimiString("5 5 5\n");
+  auto result = ReadFimiText("5 5 5\n");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->db.Transaction(0).size(), 1u);
-}
-
-TEST(DatasetIoTest, WriteStringRoundTrip) {
-  TransactionDatabase db = testing::MakeDb({{0, 1, 2}, {1}, {0, 2}});
-  std::string text = WriteFimiString(db);
-  auto reread = ReadFimiString(text);
-  ASSERT_TRUE(reread.ok());
-  ASSERT_EQ(reread->db.NumTransactions(), db.NumTransactions());
-  // Dense ids in the rewritten file match original dense ids only up to
-  // first-appearance remap; supports must agree exactly.
-  for (size_t t = 0; t < db.NumTransactions(); ++t) {
-    EXPECT_EQ(reread->db.Transaction(t).size(), db.Transaction(t).size());
-  }
-}
-
-TEST(DatasetIoTest, FileRoundTrip) {
-  TransactionDatabase db = testing::MakeRandomDb({.seed = 4});
-  std::string path =
-      (std::filesystem::temp_directory_path() / "privbasis_io_test.dat")
-          .string();
-  auto write = WriteFimiFile(db, path);
-  ASSERT_TRUE(write.ok()) << write;
-  auto reread = ReadFimiFile(path);
-  ASSERT_TRUE(reread.ok()) << reread.status();
-  // Empty transactions serialize to blank lines, which the FIMI reader
-  // skips (real FIMI files have none); non-empty content round-trips.
-  size_t non_empty = 0;
-  for (size_t t = 0; t < db.NumTransactions(); ++t) {
-    non_empty += !db.Transaction(t).empty();
-  }
-  EXPECT_EQ(reread->db.NumTransactions(), non_empty);
-  EXPECT_EQ(reread->db.TotalItemOccurrences(), db.TotalItemOccurrences());
-  std::remove(path.c_str());
 }
 
 TEST(DatasetIoTest, MissingFileFails) {
@@ -93,7 +70,7 @@ TEST(DatasetIoTest, MissingFileFails) {
 }
 
 TEST(DatasetIoTest, EmptyInput) {
-  auto result = ReadFimiString("");
+  auto result = ReadFimiText("");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->db.NumTransactions(), 0u);
 }

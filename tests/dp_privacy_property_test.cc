@@ -10,9 +10,10 @@
 #include <map>
 #include <vector>
 
+#include "common/distributions.h"
 #include "common/rng.h"
 #include "dp/exponential_mechanism.h"
-#include "dp/laplace_mechanism.h"
+#include "oracles.h"
 
 namespace privbasis {
 namespace {
@@ -42,9 +43,9 @@ TEST(PrivacyPropertyTest, LaplaceCountQuery) {
   const int trials = 400000;
   std::map<int64_t, int> histogram_d, histogram_d_prime;
   for (int t = 0; t < trials; ++t) {
-    histogram_d[std::llround(LaplacePerturb(rng, 10.0, 1.0, epsilon))]++;
+    histogram_d[std::llround(10.0 + SampleLaplace(rng, 1.0 / epsilon))]++;
     histogram_d_prime[std::llround(
-        LaplacePerturb(rng, 11.0, 1.0, epsilon))]++;
+        11.0 + SampleLaplace(rng, 1.0 / epsilon))]++;
   }
   // Discretizing to unit bins keeps the ratio bound: each bin integrates
   // the density over one unit, and densities are e^ε-close pointwise.
@@ -54,21 +55,20 @@ TEST(PrivacyPropertyTest, LaplaceCountQuery) {
 TEST(PrivacyPropertyTest, ExponentialMechanismSelection) {
   // Neighbouring quality vectors: one tuple moved q by <= sensitivity 1
   // on every coordinate (worst case: +1 on one, −1 on another is not
-  // allowed for monotone, so exercise the non-monotone mechanism).
+  // allowed for monotone, so exercise the non-monotone mechanism). One
+  // round of GroupedEmPool at factor ε/2 is GetFreqElements' draw.
   const double epsilon = 0.6;
-  std::vector<double> q_d{5.0, 4.0, 2.0, 1.0};
-  std::vector<double> q_d_prime{4.0, 5.0, 3.0, 1.0};  // each moved <= 1
-  EmOptions options{.epsilon = epsilon, .sensitivity = 1.0,
-                    .monotonic = false};
+  std::vector<uint64_t> q_d{5, 4, 2, 1};
+  std::vector<uint64_t> q_d_prime{4, 5, 3, 1};  // each moved <= 1
   Rng rng(5);
   const int trials = 400000;
   std::map<int64_t, int> histogram_d, histogram_d_prime;
   for (int t = 0; t < trials; ++t) {
-    auto a = ExponentialMechanismSelect(rng, q_d, options);
-    auto b = ExponentialMechanismSelect(rng, q_d_prime, options);
+    auto a = GroupedEmPool(q_d).SelectK(rng, 1, epsilon / 2);
+    auto b = GroupedEmPool(q_d_prime).SelectK(rng, 1, epsilon / 2);
     ASSERT_TRUE(a.ok() && b.ok());
-    histogram_d[static_cast<int64_t>(*a)]++;
-    histogram_d_prime[static_cast<int64_t>(*b)]++;
+    histogram_d[static_cast<int64_t>(a->front())]++;
+    histogram_d_prime[static_cast<int64_t>(b->front())]++;
   }
   CheckRatioBound(histogram_d, histogram_d_prime, trials, epsilon, 0.05);
 }
@@ -80,7 +80,7 @@ TEST(PrivacyPropertyTest, GroupedEmMatchesPrivacyOfDirectEm) {
   std::vector<uint64_t> counts{9, 9, 3, 0};
   Rng rng(7);
   const int trials = 300000;
-  std::vector<int> grouped(4, 0), direct(4, 0);
+  std::vector<int> grouped(4, 0);
   std::vector<double> log_weights;
   for (uint64_t c : counts) {
     log_weights.push_back(factor * static_cast<double>(c));
@@ -90,12 +90,12 @@ TEST(PrivacyPropertyTest, GroupedEmMatchesPrivacyOfDirectEm) {
     auto r = pool.SelectK(rng, 1, factor);
     ASSERT_TRUE(r.ok());
     grouped[r->front()]++;
-    direct[SampleLogWeights(rng, log_weights)]++;
   }
+  const std::vector<double> direct =
+      ::privbasis::testing::ExponentialMechanismProbabilities(log_weights);
   for (size_t i = 0; i < 4; ++i) {
     double pg = grouped[i] / static_cast<double>(trials);
-    double pd = direct[i] / static_cast<double>(trials);
-    EXPECT_NEAR(pg, pd, 0.01) << "candidate " << i;
+    EXPECT_NEAR(pg, direct[i], 0.01) << "candidate " << i;
   }
 }
 
@@ -108,8 +108,8 @@ TEST(PrivacyPropertyTest, SequentialCompositionViaAccountantSplit) {
   const int trials = 500000;
   std::map<int64_t, int> histogram_d, histogram_d_prime;
   auto run = [&](double c1, double c2, std::map<int64_t, int>* histogram) {
-    double a = LaplacePerturb(rng, c1, 1.0, epsilon / 2);
-    double b = LaplacePerturb(rng, c2, 1.0, epsilon / 2);
+    double a = c1 + SampleLaplace(rng, 1.0 / (epsilon / 2));
+    double b = c2 + SampleLaplace(rng, 1.0 / (epsilon / 2));
     // Encode the coarse pair (round to 3-unit bins).
     int64_t key = std::llround(a / 3.0) * 1000 + std::llround(b / 3.0);
     (*histogram)[key]++;

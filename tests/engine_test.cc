@@ -27,6 +27,12 @@ std::shared_ptr<Dataset> SmallDataset(double total_epsilon =
                          {.total_epsilon = total_epsilon});
 }
 
+/// `spec` polling `token` for cancellation.
+QuerySpec Cancellable(QuerySpec spec, const CancelToken* token) {
+  spec.cancel = token;
+  return spec;
+}
+
 bool SameRelease(const std::vector<NoisyItemset>& a,
                  const std::vector<NoisyItemset>& b) {
   if (a.size() != b.size()) return false;
@@ -425,7 +431,7 @@ TEST(EngineTest, PreCancelledQueryChargesNothing) {
   CancelToken token;
   token.Cancel();
   auto release = Engine::Run(
-      *dataset, QuerySpec().WithTopK(10).WithEpsilon(1.0).WithCancel(&token));
+      *dataset, Cancellable(QuerySpec().WithTopK(10).WithEpsilon(1.0), &token));
   ASSERT_FALSE(release.ok());
   EXPECT_EQ(release.status().code(), StatusCode::kCancelled);
   // Refused before the reservation: the ledger never saw this query.
@@ -446,7 +452,7 @@ TEST(EngineTest, DeadlineMidScanChargesFullReservation) {
   ASSERT_TRUE(dataset->MarginSupport(spec.k, spec.pb.eta).ok());
   ASSERT_TRUE(failpoint::Configure("basis_freq_chunk=sleep:800").ok());
   const CancelToken token = CancelToken::AfterMs(200);
-  auto release = Engine::Run(*dataset, QuerySpec(spec).WithCancel(&token));
+  auto release = Engine::Run(*dataset, Cancellable(spec, &token));
   failpoint::Reset();
   ASSERT_FALSE(release.ok());
   EXPECT_EQ(release.status().code(), StatusCode::kCancelled)
@@ -474,7 +480,7 @@ TEST(EngineTest, DeadlineInsideBasisConstructionChargesFullReservation) {
   // poll must then stop the query before BasisFreq runs.
   ASSERT_TRUE(failpoint::Configure("construct_basis_round=sleep:400").ok());
   const CancelToken token = CancelToken::AfterMs(100);
-  auto release = Engine::Run(*dataset, QuerySpec(spec).WithCancel(&token));
+  auto release = Engine::Run(*dataset, Cancellable(spec, &token));
   failpoint::Reset();
   ASSERT_FALSE(release.ok());
   EXPECT_EQ(release.status().code(), StatusCode::kCancelled)

@@ -4,8 +4,13 @@
 
 #include <cmath>
 
+#include "oracles.h"
+
 namespace privbasis {
 namespace {
+
+using ::privbasis::testing::AverageCaseEv;
+using ::privbasis::testing::CombineVarianceUnits;
 
 TEST(VarianceUnitsTest, PowersOfTwo) {
   // nv = 2^{|Bi| − |X|} (Algorithm 1, line 16).
@@ -111,24 +116,6 @@ TEST(AverageCaseEvTest, TripleGroupingBeatsSingletons) {
   double ev_triples = AverageCaseEv(BasisSet(triple_bases), queries);
   // Paper: ratio (2^{3−1}/3²) = 4/9 of the singleton EV.
   EXPECT_NEAR(ev_triples / ev_singleton, 4.0 / 9.0, 1e-9);
-}
-
-TEST(WorstCaseEvTest, Formula) {
-  BasisSet basis({Itemset({0, 1, 2}), Itemset({3})});
-  // w²·2^l = 4·8.
-  EXPECT_NEAR(WorstCaseEv(basis), 32.0, 1e-12);
-}
-
-TEST(EvUnitsToFrequencyVarianceTest, MatchesEquation4) {
-  // EV[nf_i(X)] = 2^{l−|X|+1}·w²/(ε²N²): units = w²·2^{l−|X|},
-  // conversion multiplies by 2/(ε²N²).
-  const double epsilon = 0.5;
-  const uint64_t n = 1000;
-  const double w = 3, l = 4, x_len = 2;
-  double units = w * w * VarianceUnits(l, x_len);
-  double expected = std::pow(2.0, l - x_len + 1) * w * w /
-                    (epsilon * epsilon * n * n);
-  EXPECT_NEAR(EvUnitsToFrequencyVariance(units, epsilon, n), expected, 1e-15);
 }
 
 }  // namespace

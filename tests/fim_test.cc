@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "fim/brute_force.h"
 #include "fim/fpgrowth.h"
+#include "oracles.h"
 #include "test_util.h"
 
 namespace privbasis {
 namespace {
 
 using ::privbasis::testing::MakeDb;
+using ::privbasis::testing::MineBruteForce;
 using ::privbasis::testing::MakeRandomDb;
 
 TEST(BruteForceTest, TextbookExample) {

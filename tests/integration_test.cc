@@ -3,6 +3,7 @@
 // evaluation section rests on.
 #include <gtest/gtest.h>
 
+#include "baseline/gamma.h"
 #include "data/synthetic.h"
 #include "engine/engine.h"
 #include "eval/experiment.h"
@@ -109,7 +110,11 @@ TEST(IntegrationTest, TfDegenerateRegimeMatchesTable2b) {
   options.m = 2;
   auto runner = dataset->Tf(100, options);
   ASSERT_TRUE(runner.ok());
-  EXPECT_TRUE((*runner)->Effectiveness(1.0).degenerate);
+  const TransactionDatabase& db = dataset->db();
+  EXPECT_TRUE(ComputeTfEffectiveness(db.UniverseSize(), db.NumTransactions(),
+                                     (*runner)->fk_count(), 100, options.m,
+                                     1.0, options.rho)
+                  .degenerate);
 }
 
 TEST(IntegrationTest, EveryMechanismRoutesThroughAccountant) {

@@ -2,79 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
-#include <vector>
 
 namespace privbasis {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-TEST(LogAddExpTest, MatchesDirectForSmallValues) {
-  EXPECT_NEAR(LogAddExp(std::log(2.0), std::log(3.0)), std::log(5.0), 1e-12);
-  EXPECT_NEAR(LogAddExp(0.0, 0.0), std::log(2.0), 1e-12);
-}
-
-TEST(LogAddExpTest, HandlesHugeExponents) {
-  // exp(1000) overflows, but log-space addition must not.
-  double r = LogAddExp(1000.0, 1000.0);
-  EXPECT_NEAR(r, 1000.0 + std::log(2.0), 1e-9);
-  EXPECT_NEAR(LogAddExp(1000.0, 0.0), 1000.0, 1e-9);
-}
-
-TEST(LogAddExpTest, NegInfIdentity) {
-  EXPECT_EQ(LogAddExp(kNegInf, 3.0), 3.0);
-  EXPECT_EQ(LogAddExp(3.0, kNegInf), 3.0);
-  EXPECT_EQ(LogAddExp(kNegInf, kNegInf), kNegInf);
-}
-
-TEST(LogSumExpTest, MatchesDirect) {
-  std::vector<double> xs{std::log(1.0), std::log(2.0), std::log(3.0)};
-  EXPECT_NEAR(LogSumExp(xs), std::log(6.0), 1e-12);
-}
-
-TEST(LogSumExpTest, EmptyIsNegInf) {
-  EXPECT_EQ(LogSumExp({}), kNegInf);
-}
-
-TEST(LogSumExpTest, LargeUniformVector) {
-  std::vector<double> xs(1000, 500.0);
-  EXPECT_NEAR(LogSumExp(xs), 500.0 + std::log(1000.0), 1e-9);
-}
-
-TEST(SampleLogWeightsTest, RespectsRatios) {
-  Rng rng(1);
-  // Weights 1 : e : e² (log weights 0, 1, 2).
-  std::vector<double> lw{0.0, 1.0, 2.0};
-  std::vector<int> histogram(3, 0);
-  const int n = 150000;
-  for (int i = 0; i < n; ++i) ++histogram[SampleLogWeights(rng, lw)];
-  double z = 1.0 + std::exp(1.0) + std::exp(2.0);
-  for (size_t i = 0; i < 3; ++i) {
-    double expected = std::exp(static_cast<double>(i)) / z;
-    EXPECT_NEAR(histogram[i] / static_cast<double>(n), expected, 0.01);
-  }
-}
-
-TEST(SampleLogWeightsTest, HugeWeightsDoNotOverflow) {
-  Rng rng(3);
-  // Differences matter, absolute sizes must not: 10000 vs 10001.
-  std::vector<double> lw{10000.0, 10001.0};
-  int second = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) second += SampleLogWeights(rng, lw) == 1;
-  double expected = std::exp(1.0) / (1.0 + std::exp(1.0));
-  EXPECT_NEAR(second / static_cast<double>(n), expected, 0.01);
-}
-
-TEST(SampleLogWeightsTest, SkipsNegInf) {
-  Rng rng(5);
-  std::vector<double> lw{kNegInf, 0.0, kNegInf};
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(SampleLogWeights(rng, lw), 1u);
-  }
-}
 
 TEST(GumbelMaxSamplerTest, SingleOfferWins) {
   Rng rng(7);
@@ -107,16 +40,6 @@ TEST(GumbelMaxSamplerTest, ZeroCountGroupIgnored) {
   EXPECT_FALSE(sampler.HasWinner());
   sampler.OfferGroup(1, kNegInf, 5.0);
   EXPECT_FALSE(sampler.HasWinner());
-}
-
-TEST(GumbelMaxSamplerTest, WinnerScoreIsMax) {
-  Rng rng(13);
-  GumbelMaxSampler sampler(&rng);
-  sampler.Offer(0, 0.0);
-  double first = sampler.WinnerScore();
-  sampler.Offer(1, 1000.0);
-  EXPECT_EQ(sampler.WinnerKey(), 1u);
-  EXPECT_GT(sampler.WinnerScore(), first);
 }
 
 }  // namespace

@@ -26,28 +26,6 @@ TEST(LogChooseTest, KGreaterThanNIsNegInf) {
   EXPECT_EQ(LogChoose(3, 4), -std::numeric_limits<double>::infinity());
 }
 
-TEST(ChooseSaturatingTest, ExactSmall) {
-  EXPECT_EQ(ChooseSaturating(5, 2), 10u);
-  EXPECT_EQ(ChooseSaturating(10, 3), 120u);
-  EXPECT_EQ(ChooseSaturating(52, 5), 2598960u);
-  EXPECT_EQ(ChooseSaturating(0, 0), 1u);
-  EXPECT_EQ(ChooseSaturating(4, 0), 1u);
-  EXPECT_EQ(ChooseSaturating(4, 4), 1u);
-  EXPECT_EQ(ChooseSaturating(3, 5), 0u);
-}
-
-TEST(ChooseSaturatingTest, LargeExactValues) {
-  // C(61, 30) ≈ 2.32e17 still fits in uint64.
-  EXPECT_EQ(ChooseSaturating(61, 30), 232714176627630544ull);
-}
-
-TEST(ChooseSaturatingTest, SaturatesOnOverflow) {
-  EXPECT_EQ(ChooseSaturating(1000, 500),
-            std::numeric_limits<uint64_t>::max());
-  EXPECT_EQ(ChooseSaturating(200, 100),
-            std::numeric_limits<uint64_t>::max());
-}
-
 TEST(LogCandidateSpaceSizeTest, MatchesDirectSum) {
   // n=10, m=3: 10 + 45 + 120 = 175.
   EXPECT_NEAR(LogCandidateSpaceSize(10, 3), std::log(175.0), 1e-9);

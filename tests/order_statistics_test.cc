@@ -7,9 +7,12 @@
 #include <vector>
 
 #include "common/distributions.h"
+#include "oracles.h"
 
 namespace privbasis {
 namespace {
+
+using ::privbasis::testing::LaplaceCdf;
 
 TEST(OrderStatisticsTest, EmitsDescendingValues) {
   Rng rng(1);

@@ -74,20 +74,6 @@ TEST(RngTest, UniformIntUnbiasedRoughly) {
   }
 }
 
-TEST(RngTest, UniformRangeInclusive) {
-  Rng rng(17);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    int64_t v = rng.UniformRange(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, BernoulliExtremes) {
   Rng rng(19);
   for (int i = 0; i < 100; ++i) {
@@ -104,34 +90,6 @@ TEST(RngTest, BernoulliRate) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) hits += rng.Bernoulli(0.3);
   EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.01);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(29);
-  Rng child = parent.Fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.Next() == child.Next()) ++equal;
-  }
-  EXPECT_EQ(equal, 0);
-}
-
-TEST(RngTest, ForkDeterministic) {
-  Rng a(31), b(31);
-  Rng ca = a.Fork();
-  Rng cb = b.Fork();
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(ca.Next(), cb.Next());
-}
-
-TEST(RngTest, SuccessiveForksDiffer) {
-  Rng parent(37);
-  Rng c1 = parent.Fork();
-  Rng c2 = parent.Fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (c1.Next() == c2.Next()) ++equal;
-  }
-  EXPECT_EQ(equal, 0);
 }
 
 TEST(RngTest, SplitMix64KnownSequenceAdvances) {

@@ -24,17 +24,18 @@
 #include "data/vertical_index.h"
 #include "engine/dataset.h"
 #include "engine/engine.h"
-#include "fim/brute_force.h"
 #include "fim/fpgrowth.h"
 #include "shard/shard_exec.h"
 #include "shard/sharded_db.h"
 #include "bench_util.h"
+#include "oracles.h"
 #include "test_util.h"
 
 namespace privbasis {
 namespace {
 
 using privbasis::testing::MakeDb;
+using privbasis::testing::MineBruteForce;
 using privbasis::testing::MakeRandomDb;
 using privbasis::testing::RandomDbSpec;
 using privbasis::bench::ScanExecutor;

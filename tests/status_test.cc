@@ -15,7 +15,6 @@ TEST(StatusTest, DefaultIsOk) {
 TEST(StatusTest, FactoryConstructors) {
   EXPECT_EQ(Status::InvalidArgument("x").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Status::NotFound("x").code(), StatusCode::kNotFound);
-  EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::IoError("x").code(), StatusCode::kIoError);
@@ -73,7 +72,7 @@ TEST(ResultTest, ArrowOperator) {
   EXPECT_EQ(r->size(), 3u);
 }
 
-Status FailingFn() { return Status::OutOfRange("boom"); }
+Status FailingFn() { return Status(StatusCode::kOutOfRange, "boom"); }
 
 Status PropagatesWithMacro() {
   PRIVBASIS_RETURN_NOT_OK(FailingFn());

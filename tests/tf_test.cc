@@ -5,6 +5,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "baseline/gamma.h"
 #include "fim/topk.h"
 #include "test_util.h"
 
@@ -201,7 +202,9 @@ TEST(TfRunnerTest, DiagnosticsConsistent) {
       static_cast<double>(db.NumTransactions());
   EXPECT_NEAR(result->truncated_freq, fk - result->gamma, 1e-12);
   EXPECT_EQ(result->degenerate, result->truncated_freq <= 0.0);
-  auto eff = runner->Effectiveness(0.5);
+  auto eff = ComputeTfEffectiveness(db.UniverseSize(), db.NumTransactions(),
+                                    runner->fk_count(), 10, options.m, 0.5,
+                                    options.rho);
   EXPECT_NEAR(eff.gamma_count,
               result->gamma * static_cast<double>(db.NumTransactions()), 1e-6);
 }

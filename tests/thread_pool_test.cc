@@ -185,18 +185,5 @@ TEST(ThreadPoolTest, TrySubmitUnblockedQueueAccepts) {
   while (ran.load() != 32) std::this_thread::yield();
 }
 
-TEST(RngForkStreamTest, DeterministicAndNonAdvancing) {
-  Rng parent(42);
-  Rng a = parent.ForkStream(3);
-  Rng b = parent.ForkStream(3);
-  Rng c = parent.ForkStream(4);
-  // Same stream id → identical child; different id → different stream.
-  EXPECT_EQ(a.Next(), b.Next());
-  EXPECT_NE(a.Next(), c.Next());
-  // ForkStream is const: the parent sequence is unchanged.
-  Rng fresh(42);
-  EXPECT_EQ(parent.Next(), fresh.Next());
-}
-
 }  // namespace
 }  // namespace privbasis

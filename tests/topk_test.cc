@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "fim/brute_force.h"
+#include "oracles.h"
 #include "test_util.h"
 
 namespace privbasis {
 namespace {
 
 using ::privbasis::testing::MakeDb;
+using ::privbasis::testing::MineBruteForce;
 using ::privbasis::testing::MakeRandomDb;
 
 // Reference: mine everything (capped length for brute force), sort

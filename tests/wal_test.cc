@@ -300,7 +300,7 @@ TEST(WalTest, FsyncModesAppendIdentically) {
   for (const FsyncMode mode :
        {FsyncMode::kAlways, FsyncMode::kCommit, FsyncMode::kNever}) {
     const std::string path =
-        TempPath(std::string("mode_") + FsyncModeName(mode));
+        TempPath("mode_" + std::to_string(static_cast<int>(mode)));
     auto wal = BudgetWal::Open(path, mode);
     ASSERT_TRUE(wal.ok());
     auto t = (*wal)->AppendReserve("a", 0.5, "q");

@@ -123,8 +123,8 @@ TEST(WireSpecTest, GoldenThresholdRulesEscapesAndMaxSeed) {
       .WithThreshold(0.05, 400)
       .WithEpsilon(0.25)
       .WithSeed(18446744073709551615ull)  // uint64 max survives
-      .WithRules(0.6)
-      .WithLabel("fig1 \"mushroom\"\n\tsweep");  // escaped string
+      .WithRules(0.6);
+  spec.label = "fig1 \"mushroom\"\n\tsweep";  // escaped string
   spec.pb.eta = 1.2;
   spec.pb.lambda_cap = 64;
   ExpectSpecGolden(

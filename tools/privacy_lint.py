@@ -19,7 +19,7 @@ dependency) so CI fails when a refactor quietly violates one:
                       something derived from unreleased randomness.
 
   lease-resolution    Every function that Acquire()s a BudgetLease must
-                      visibly resolve it: Commit()/CommitAll() it, move it
+                      visibly resolve it: Commit() it, move it
                       onward, or return it. A lease that is silently
                       dropped still fails closed (the destructor charges
                       the full reservation), but code that RELIES on that
@@ -51,9 +51,19 @@ dependency) so CI fails when a refactor quietly violates one:
                       invisible to the crash-recovery matrix; a stale
                       manifest entry means coverage silently evaporated.
 
+  test-only-api       Every function or method declared in a src/ header
+                      is named somewhere in src/, tools/, bench/,
+                      examples/ or perfbench/ besides its own declaration
+                      and definition (a call in its own .cc counts;
+                      recursion and tests/ do not). Library code that
+                      only a test reaches is deleted, or moved under
+                      tests/ when a test compares against it.
+
 False positives are suppressed in tools/privacy_lint_suppressions.txt,
-one `rule path-substring` pair per line. `--self-test` runs each rule
-against a seeded violation and fails unless every rule fires.
+one `rule path-substring` pair per line; a test-only-api entry names one
+function (`Class::Method` or `Function`) instead of a path, and one that
+names no test-only function is itself a finding. `--self-test` runs each
+rule against a seeded violation and fails unless every rule fires.
 
 Usage:
   tools/privacy_lint.py [--root .] [--self-test] [-v]
@@ -61,6 +71,7 @@ Exit status: 0 clean, 1 findings, 2 self-test failure.
 """
 
 import argparse
+import collections
 import os
 import re
 import sys
@@ -84,7 +95,7 @@ RAW_COUNT_DEFINITION = re.compile(
 
 LEASE_BIND = re.compile(r"\bBudgetLease\s+(\w+)\s*[,;)]")
 LEASE_RESOLVED = (
-    ".Commit(", ".CommitAll(", "std::move({name})", "return {name};")
+    "{name}.Commit(", "std::move({name})", "return {name};")
 
 HIT_LITERAL = re.compile(r'failpoint::Hit\(\s*"([^"]+)"')
 # Dynamic families: AtomicWriteFile(..., "prefix") mints prefix_write +
@@ -97,6 +108,25 @@ APPEND_OPEN_PREFIX = re.compile(r'AppendFile::Open\([^;]*?"(\w+)"\s*\)')
 # site=action[:arg][@skip] terms.
 SPEC_STRING = re.compile(
     r'(?:Configure\(|PRIVBASIS_FAILPOINTS[^"]*)"((?:\w+=[\w:@]+,?)+)"')
+
+# test-only-api: the trees whose mentions of a name count as use, and
+# words that look like a declaration `name(` without declaring a function.
+PRODUCT_DIRS = ("src", "tools", "bench", "examples", "perfbench")
+NOT_A_FUNCTION = frozenset((
+    "alignas", "alignof", "auto", "bool", "char", "decltype", "double",
+    "explicit", "float", "for", "if", "int", "long", "noexcept", "operator",
+    "requires", "return", "short", "signed", "sizeof", "static_assert",
+    "switch", "template", "throw", "unsigned", "void", "while"))
+TOKEN = re.compile(r"[A-Za-z_]\w*|[{};]")
+CALL_NAME = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+TYPE_BEFORE = re.compile(r"(?:[\w>*&]|::)\s*$")
+# The text before a `{` that opens a namespace or a class body, whose
+# members are declarations; any other brace opens statements or data.
+NAMESPACE_HEAD = re.compile(r"\b(?:namespace\b[^;{}()]*|extern\s*)$")
+CLASS_HEAD = re.compile(
+    r"^\s*(?:(?:public|private|protected)\s*:\s*)*"
+    r"(?:template\s*<.*>\s*)?(?:class|struct|union)\b(.*)$", re.DOTALL)
+PREPROCESSOR = re.compile(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", re.MULTILINE)
 
 MANIFEST = "tools/failpoint_sites.txt"
 SUPPRESSIONS = "tools/privacy_lint_suppressions.txt"
@@ -156,11 +186,12 @@ def enclosing_scope(code, pos):
 
 
 class Finding:
-    def __init__(self, rule, path, line, message):
+    def __init__(self, rule, path, line, message, symbol=None):
         self.rule = rule
         self.path = path
         self.line = line
         self.message = message
+        self.symbol = symbol  # test-only-api: the function it names
 
     def __str__(self):
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -189,9 +220,7 @@ def check_lease_resolution(path, code, raw):
         start, end = enclosing_scope(code, match.start())
         scope = code[match.start():end]
         resolved = any(
-            pattern.format(name=name) in scope
-            for pattern in (f"{name}.Commit(", f"{name}.CommitAll(",
-                            f"std::move({name})", f"return {name};"))
+            pattern.format(name=name) in scope for pattern in LEASE_RESOLVED)
         # The lease's own implementation file defines Commit/move itself.
         if path.endswith("accountant.cc") or path.endswith("accountant.h"):
             continue
@@ -296,6 +325,92 @@ def check_failpoint_manifest(root, rel_paths):
     return findings
 
 
+def scan_names(code):
+    """Function declarations and name uses in one stripped source file.
+
+    Returns (declarations, uses). A declaration is `name(` at namespace or
+    class scope after a type or `Class::`, outside parentheses and before
+    any `=`: a function declared or defined there, as (name, qualified
+    name, line). Every other mention of an identifier is a use, counted
+    in the `uses` Counter, except a call inside the function's own body.
+    Macro bodies count as uses.
+    """
+    uses = collections.Counter()
+    for directive in PREPROCESSOR.findall(code):
+        uses.update(re.findall(r"[A-Za-z_]\w*", directive))
+    code = PREPROCESSOR.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), code)
+    declarations = []
+    scopes = []  # (kind, owner): "ns"/None, "class"/class, "body"/function
+    head_start = 0
+    for match in TOKEN.finditer(code):
+        token = match.group(0)
+        if token in "{};":
+            if token == "{":
+                head = code[head_start:match.start()]
+                class_head = CLASS_HEAD.match(head)
+                if scopes and scopes[-1][0] == "body":
+                    scopes.append(scopes[-1])
+                elif NAMESPACE_HEAD.search(head):
+                    scopes.append(("ns", None))
+                elif class_head:
+                    key = re.split(r"(?<!:):(?!:)", class_head.group(1))[0]
+                    names = re.findall(r"\b(?!final\b)[A-Za-z_]\w*", key)
+                    scopes.append(("class", names[-1] if names else None))
+                else:
+                    names = CALL_NAME.findall(head)
+                    scopes.append(("body", names[0] if names else None))
+            elif token == "}" and scopes:
+                scopes.pop()
+            head_start = match.end()
+            continue
+        kind, owner = scopes[-1] if scopes else ("ns", None)
+        before = code[head_start:match.start()]
+        if kind == "body":
+            if token != owner:
+                uses[token] += 1
+        elif (re.match(r"\s*\(", code[match.end():]) and
+              TYPE_BEFORE.search(before) and "=" not in before and
+              before.count("(") == before.count(")") and
+              token not in NOT_A_FUNCTION and token != owner and
+              not token.isupper() and not token.startswith("__") and
+              not re.search(rf"\b{token}\s*::\s*$", before)):
+            qualified = f"{owner}::{token}" if owner else token
+            declarations.append((token, qualified,
+                                 line_of(code, match.start())))
+        else:
+            uses[token] += 1
+    return declarations, uses
+
+
+def check_test_only_api(root):
+    """Header functions that nothing outside tests/ names (test-only-api)."""
+    uses = collections.Counter()
+    header_declarations = []
+    for sub in PRODUCT_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(root, sub)):
+            for name in sorted(names):
+                if not name.endswith((".cc", ".cpp", ".h")):
+                    continue
+                full = os.path.join(dirpath, name)
+                path = os.path.relpath(full, root).replace(os.sep, "/")
+                raw = open(full, encoding="utf-8", errors="replace").read()
+                declarations, file_uses = scan_names(strip_code(raw))
+                uses.update(file_uses)
+                if path.startswith("src/") and path.endswith(".h"):
+                    header_declarations.extend(
+                        (path, decl) for decl in declarations)
+    findings = []
+    for path, (token, qualified, line) in header_declarations:
+        if not uses[token]:
+            findings.append(Finding(
+                "test-only-api", path, line,
+                f"only tests call `{qualified}`: delete it, move it "
+                "under tests/ if a test compares against it, or suppress "
+                "it naming the test that reads product state through it",
+                symbol=qualified))
+    return findings
+
+
 FILE_RULES = (check_noise_containment, check_lease_resolution,
               check_wire_after_noise, check_count_seam)
 
@@ -313,15 +428,15 @@ def lint_tree(root, verbose=False):
                         os.path.join(dirpath, name), root))
     rel_paths.sort()
 
-    suppressions = []
+    suppressions = []  # (rule, path substring or function, line)
     sup_path = os.path.join(root, SUPPRESSIONS)
     if os.path.exists(sup_path):
         with open(sup_path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if line:
-                    rule, _, path_sub = line.partition(" ")
-                    suppressions.append((rule, path_sub.strip()))
+                    rule, _, target = line.partition(" ")
+                    suppressions.append((rule, target.strip(), number))
 
     findings = []
     for path in rel_paths:
@@ -333,15 +448,32 @@ def lint_tree(root, verbose=False):
         for rule in FILE_RULES:
             findings.extend(rule(path.replace(os.sep, "/"), code, raw))
     findings.extend(check_failpoint_manifest(root, rel_paths))
+    findings.extend(check_test_only_api(root))
+
+    def suppresses(entry, finding):
+        rule, target, _ = entry
+        if finding.rule != rule:
+            return False
+        if rule == "test-only-api":  # one function, never a file
+            return finding.symbol == target
+        return target in finding.path
 
     kept = []
+    used = set()
     for finding in findings:
-        if any(finding.rule == rule and path_sub in finding.path
-               for rule, path_sub in suppressions):
+        matches = [e for e in suppressions if suppresses(e, finding)]
+        if matches:
+            used.update(matches)
             if verbose:
                 print(f"suppressed: {finding}")
             continue
         kept.append(finding)
+    for rule, target, number in suppressions:
+        if rule == "test-only-api" and (rule, target, number) not in used:
+            kept.append(Finding(
+                rule, SUPPRESSIONS, number,
+                f"suppression names `{target}`, which is not a test-only "
+                "function: remove the entry"))
     return kept
 
 
@@ -407,6 +539,32 @@ def self_test(root):
                    "unregistered_site" in f.message for f in hits):
             failures.append("rule `failpoint-manifest` did not flag an "
                             "unregistered site")
+    # test-only-api: a header function only a test (and its own
+    # recursion) calls must be caught; one a tool calls must not.
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {
+            "src/evil.h": "namespace privbasis {\n"
+                          "int OnlyTests(int n);\n"
+                          "int Used();\n"
+                          "}\n",
+            "src/evil.cc": "namespace privbasis {\n"
+                           "int OnlyTests(int n) {\n"
+                           "  return n ? OnlyTests(n - 1) : 0;\n"
+                           "}\n"
+                           "int Used() { return 1; }\n"
+                           "}\n",
+            "tools/main.cc": "int main() { return privbasis::Used(); }\n",
+            "tests/evil_test.cc": "int x = privbasis::OnlyTests(3);\n",
+        }
+        for rel, text in files.items():
+            os.makedirs(os.path.join(tmp, os.path.dirname(rel)),
+                        exist_ok=True)
+            with open(os.path.join(tmp, rel), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        flagged = {f.symbol for f in check_test_only_api(tmp)}
+        if flagged != {"OnlyTests"}:
+            failures.append("rule `test-only-api` flagged "
+                            f"{sorted(flagged)}, want ['OnlyTests']")
     # And the real tree must be clean, or CI green means nothing.
     real = lint_tree(root)
     if failures:
@@ -419,7 +577,7 @@ def self_test(root):
         for finding in real:
             print(f"  {finding}", file=sys.stderr)
         return 2
-    print(f"privacy_lint self-test: all {len(SELF_TEST_CASES) + 1} rules "
+    print(f"privacy_lint self-test: all {len(SELF_TEST_CASES) + 2} rules "
           "fire on seeded violations; tree clean")
     return 0
 
