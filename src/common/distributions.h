@@ -38,7 +38,6 @@ class ZipfDistribution {
   /// Draws one rank in [0, n).
   uint64_t Sample(Rng& rng) const;
 
-  uint64_t n() const { return n_; }
   double s() const { return s_; }
 
   /// Exact probability mass of rank i (O(1) after lazily computing the

@@ -47,19 +47,6 @@ void DumpObject(const Value::Object& obj, std::string* out) {
 
 }  // namespace
 
-Value::Type Value::type() const {
-  switch (data_.index()) {
-    case 0: return Type::kNull;
-    case 1: return Type::kBool;
-    case 2: return Type::kInt;
-    case 3: return Type::kUint;
-    case 4: return Type::kDouble;
-    case 5: return Type::kString;
-    case 6: return Type::kArray;
-    default: return Type::kObject;
-  }
-}
-
 Result<bool> Value::GetBool() const {
   if (const bool* b = std::get_if<bool>(&data_)) return *b;
   return Status::InvalidArgument("JSON value is not a bool");

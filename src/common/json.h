@@ -46,9 +46,6 @@ class Value {
   using Array = std::vector<Value>;
   using Object = std::vector<Member>;
 
-  enum class Type { kNull, kBool, kInt, kUint, kDouble, kString, kArray,
-                    kObject };
-
   Value() : data_(nullptr) {}
   Value(std::nullptr_t) : data_(nullptr) {}          // NOLINT
   Value(bool b) : data_(b) {}                        // NOLINT
@@ -68,8 +65,6 @@ class Value {
   Value(const char* s) : data_(std::string(s)) {}    // NOLINT
   Value(Array a) : data_(std::move(a)) {}            // NOLINT
   Value(Object o) : data_(std::move(o)) {}           // NOLINT
-
-  Type type() const;
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(data_); }
 

@@ -1,9 +1,12 @@
 #include "common/math_util.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 namespace privbasis {
 
@@ -31,6 +34,36 @@ double LogCandidateSpaceSize(uint64_t n, uint64_t m) {
   double sum = 0.0;
   for (double t : terms) sum += std::exp(t - hi);
   return hi + std::log(sum);
+}
+
+std::vector<uint32_t> DescendingOrder(std::span<const uint64_t> values) {
+  assert(values.size() <= UINT32_MAX);
+  std::vector<uint32_t> order(values.size());
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  // Every pass sorts on a complemented digit and is stable, and the
+  // input starts in index order: descending value, ascending index. Only
+  // the digits the largest value occupies need a pass; passes whose
+  // digit is the same for every index are skipped.
+  constexpr unsigned kDigitBits = 11;
+  constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
+  const uint64_t max_value =
+      values.empty() ? 0 : *std::max_element(values.begin(), values.end());
+  const unsigned bits = static_cast<unsigned>(std::bit_width(max_value));
+  std::vector<uint32_t> scratch(order.size());
+  std::vector<size_t> offsets(kDigitMask + 1);
+  for (unsigned shift = 0; shift < bits; shift += kDigitBits) {
+    auto digit = [&](uint32_t idx) {
+      return kDigitMask - ((values[idx] >> shift) & kDigitMask);
+    };
+    std::fill(offsets.begin(), offsets.end(), 0);
+    for (uint32_t idx : order) ++offsets[digit(idx)];
+    if (offsets[digit(order[0])] == order.size()) continue;
+    size_t sum = 0;
+    for (size_t& offset : offsets) sum += std::exchange(offset, sum);
+    for (uint32_t idx : order) scratch[offsets[digit(idx)]++] = idx;
+    order.swap(scratch);
+  }
+  return order;
 }
 
 double Mean(const std::vector<double>& xs) {

@@ -1,10 +1,12 @@
 // Small numeric helpers shared across subsystems: log-binomials for TF's
 // candidate-space size |U| ≈ Σ C(|I|, i), summary statistics for the
-// experiment harness, and saturating integer binomials.
+// experiment harness, and the descending order of integer values that
+// the item supports and the exponential mechanism's pools share.
 #ifndef PRIVBASIS_COMMON_MATH_UTIL_H_
 #define PRIVBASIS_COMMON_MATH_UTIL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace privbasis {
@@ -23,6 +25,11 @@ double LogCandidateSpaceSize(uint64_t n, uint64_t m);
 /// sharded counter reduce integer counts and still reproduce a sequential
 /// floating-point accumulation bit-for-bit.
 double AddOnesSequentially(double x, uint64_t k);
+
+/// Indices of `values` by descending value, ties by ascending index: a
+/// stable LSD radix sort, O(n) per 11-bit digit the largest value uses.
+/// At most 2^32 − 1 values.
+std::vector<uint32_t> DescendingOrder(std::span<const uint64_t> values);
 
 /// Arithmetic mean. Empty input returns 0.
 double Mean(const std::vector<double>& xs);

@@ -10,8 +10,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
     case StatusCode::kIoError:

@@ -18,7 +18,6 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument = 1,
   kNotFound = 2,
-  kOutOfRange = 3,
   kFailedPrecondition = 4,
   kIoError = 5,
   kResourceExhausted = 6,

@@ -35,8 +35,8 @@ struct BasisFreqOptions {
   /// Hard cap on basis length — 2^len bins are materialized per basis.
   size_t max_basis_length = 20;
   /// Cooperative cancellation, handed to the executor's bin count, which
-  /// unwinds with kCancelled within one transaction chunk of the token
-  /// firing. nullptr = not cancellable. Note the epsilon consumed from
+  /// unwinds with kCancelled within one transaction chunk (or one basis,
+  /// on the bitmap path) of the token firing. nullptr = not cancellable. Note the epsilon consumed from
   /// `accountant` stays consumed — it was reserved before the scan.
   const CancelToken* cancel = nullptr;
   /// Where the exact bin counts come from (`exec->BasisBinCounts`, merged
@@ -60,10 +60,13 @@ struct BasisFreqResult {
 /// The exact-counting half of Algorithm 1, run by the executors on
 /// their database or slice: out[i][mask] = number of transactions whose
 /// intersection with basis i is exactly the subset `mask` encodes
-/// (out[i] has 2^|Bi| entries). Consumes no randomness and merges
-/// across horizontal partitions by plain integer addition. `num_threads`
-/// 0 = the PRIVBASIS_THREADS env knob; a fired `cancel` token unwinds
-/// with kCancelled within one transaction chunk.
+/// (out[i] has 2^|Bi| entries), by one scan of D. Consumes no
+/// randomness and merges across horizontal partitions by plain integer
+/// addition. `num_threads` 0 = the PRIVBASIS_THREADS env knob; a fired
+/// `cancel` token unwinds with kCancelled within one transaction chunk.
+/// When every basis item has a bitmap and Σᵢ 2^|Bi| · ⌈N/64⌉ words are
+/// fewer than the item occurrences, DirectCountExecutor counts the same
+/// bins through VerticalIndex::BitmapBasisBins instead.
 Result<std::vector<std::vector<uint64_t>>> CountBasisBins(
     const TransactionDatabase& db, const BasisSet& basis_set,
     size_t num_threads = 0, const CancelToken* cancel = nullptr);

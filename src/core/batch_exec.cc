@@ -84,43 +84,66 @@ Result<std::vector<std::vector<uint64_t>>> PairSupportsByBatch(
 
 // ------------------------------------------------------ DirectCountExecutor
 
+std::shared_ptr<const VerticalIndex> DirectCountExecutor::BitmapIndexFor(
+    std::span<const Item> items, uint64_t bitmap_words) const {
+  // The scan costs one pass over every item occurrence. Item supports
+  // and the index's own bitmap rule tell which items have a bitmap, so
+  // the index is fetched (and on first use built) only when every item
+  // has one and the bitmaps are the smaller pass.
+  if (index_ == nullptr || items.empty() ||
+      bitmap_words >= db_->TotalItemOccurrences()) {
+    return nullptr;
+  }
+  const std::vector<uint64_t>& supports = db_->ItemSupports();
+  const uint64_t min_dense =
+      VerticalIndex::MinDenseSupport(db_->NumTransactions());
+  const auto dense = [&](Item it) {
+    return it < supports.size() && supports[it] >= min_dense;
+  };
+  if (!std::all_of(items.begin(), items.end(), dense)) return nullptr;
+  std::shared_ptr<const VerticalIndex> index = index_();
+  // The index may have been built with other Options; count through it
+  // only when it really holds every bitmap.
+  if (index == nullptr ||
+      !std::all_of(items.begin(), items.end(),
+                   [&](Item it) { return index->IsDense(it); })) {
+    return nullptr;
+  }
+  return index;
+}
+
 Result<std::vector<std::vector<uint64_t>>> DirectCountExecutor::BasisBinCounts(
     const BasisSet& basis_set, const CancelToken* cancel) const {
+  // Splitting basis i through the bitmaps costs 2^|Bi| passes over
+  // ⌈N/64⌉ words.
+  const uint64_t words = (db_->NumTransactions() + 63) / 64;
+  uint64_t bitmap_words = 0;
+  std::vector<Item> items;
+  for (const Itemset& basis : basis_set.bases()) {
+    bitmap_words += (uint64_t{1} << basis.size()) * words;
+    items.insert(items.end(), basis.begin(), basis.end());
+  }
+  if (const std::shared_ptr<const VerticalIndex> index =
+          BitmapIndexFor(items, bitmap_words)) {
+    return index->BitmapBasisBins(basis_set.bases(), cancel);
+  }
   return CountBasisBins(*db_, basis_set, num_threads_, cancel);
 }
 
 Result<std::vector<uint64_t>> DirectCountExecutor::PairSupports(
     const std::vector<Item>& items, const CancelToken* cancel) const {
-  // A bitmap pair costs one AND + popcount pass over N/64 words; the
-  // scan costs one pass over every item occurrence. Count through the
-  // bitmaps when every item has one and that is the smaller pass. Item
-  // supports and the index's own bitmap rule tell which items have one,
-  // so the index is fetched (and on first use built) only then.
+  // A bitmap pair costs one AND + popcount pass over ⌈N/64⌉ words.
   const size_t m = items.size();
   const uint64_t pairs = m < 2 ? 0 : uint64_t{m} * (m - 1) / 2;
   const uint64_t words = (db_->NumTransactions() + 63) / 64;
-  const std::vector<uint64_t>& supports = db_->ItemSupports();
-  const uint64_t min_dense =
-      VerticalIndex::MinDenseSupport(db_->NumTransactions());
-  const bool all_dense =
-      std::all_of(items.begin(), items.end(), [&](Item it) {
-        return it < supports.size() && supports[it] >= min_dense;
-      });
-  if (index_ != nullptr && all_dense &&
-      pairs * words < db_->TotalItemOccurrences()) {
-    const std::shared_ptr<const VerticalIndex> index = index_();
-    // The index may have been built with other Options; count through it
-    // only when it really holds every bitmap.
-    if (index != nullptr &&
-        std::all_of(items.begin(), items.end(),
-                    [&](Item it) { return index->IsDense(it); })) {
-      PRIVBASIS_ASSIGN_OR_RETURN(
-          std::vector<std::vector<uint64_t>> dense,
-          PairSupportsByBatch({&items}, [&](std::span<const Itemset> queries) {
-            return SupportsFromIndex(*index, queries, cancel);
-          }));
-      return std::move(dense[0]);
-    }
+  if (const std::shared_ptr<const VerticalIndex> index =
+          BitmapIndexFor(items, pairs * words)) {
+    PRIVBASIS_ASSIGN_OR_RETURN(
+        std::vector<std::vector<uint64_t>> dense,
+        PairSupportsByBatch({&items}, [&](std::span<const Itemset> queries) {
+          return SupportsFromIndex(*index, queries, cancel);
+        }));
+    return std::move(dense[0]);
   }
   std::vector<uint64_t> counts = CountPairSupports(*db_, items, cancel);
   if (IsCancelled(cancel)) {

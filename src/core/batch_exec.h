@@ -22,10 +22,12 @@
 // DirectCountExecutor counts on one unsharded database: the BasisFreq
 // bin scan, the pair scan and VerticalIndex batch supports. It is what
 // every unsharded query counts through, and batching wraps it like any
-// other executor. Its pair supports come from the VerticalIndex bitmaps
-// instead of a scan when every item has a bitmap and the pairs' bitmap
-// words are fewer than the item occurrences; it fetches (and so builds)
-// the index only then. The counts are exact either way.
+// other executor. Its pair supports and its basis bins come from the
+// VerticalIndex bitmaps instead of a scan when every item has a bitmap
+// and the bitmap words are fewer than the item occurrences:
+// |F|(|F|−1)/2 · ⌈N/64⌉ for pairs, Σᵢ 2^|Bᵢ| · ⌈N/64⌉ for bins. It
+// fetches (and so builds) the index only then. The counts are exact
+// either way.
 #ifndef PRIVBASIS_CORE_BATCH_EXEC_H_
 #define PRIVBASIS_CORE_BATCH_EXEC_H_
 
@@ -79,6 +81,11 @@ class DirectCountExecutor : public CountExecutor {
       const CancelToken* cancel) const override;
 
  private:
+  /// The index to count `items` through, or nullptr to scan: non-null
+  /// only when every item has a bitmap and `bitmap_words`, the cost of
+  /// the bitmap pass, is below the scan's TotalItemOccurrences().
+  std::shared_ptr<const VerticalIndex> BitmapIndexFor(
+      std::span<const Item> items, uint64_t bitmap_words) const;
   Result<std::vector<uint64_t>> SupportsFromIndex(
       const VerticalIndex& index, std::span<const Itemset> queries,
       const CancelToken* cancel) const;
@@ -113,8 +120,6 @@ class BatchingCountExecutor : public CountExecutor {
   /// predicted latency makes long windows pointless for cheap queries).
   void BeginQuery(int64_t window_hint_us = 0);
   void EndQuery();
-
-  const CountExecutor& inner() const { return *inner_; }
 
   size_t NumShards() const override { return inner_->NumShards(); }
 

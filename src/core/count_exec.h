@@ -53,7 +53,8 @@ class CountExecutor {
   /// Exact BasisFreq bin histograms: out[i][mask] = number of
   /// transactions whose intersection with basis i is exactly the subset
   /// `mask` encodes. Identical to core CountBasisBins on the whole
-  /// database (tests/shard_test.cc pins the equality bit for bit).
+  /// database, whether the executor scans or splits VerticalIndex
+  /// bitmaps (tests/shard_test.cc pins the equality bit for bit).
   virtual Result<std::vector<std::vector<uint64_t>>> BasisBinCounts(
       const BasisSet& basis_set, const CancelToken* cancel) const = 0;
 

@@ -18,8 +18,9 @@ uint32_t GetLambda(const TransactionDatabase& db, uint64_t fk1_support,
   // Quality of rank j (1-based): (1 − |f_itemj − θ|)·N = N − |c_j − θ·N|
   // in count units. Ranks sharing an item count share a quality, so we
   // offer one Gumbel per group of equal counts; a group's members are
-  // the ranks [GroupBegin, GroupBegin + GroupSize).
-  const GroupedEmPool runs(db.ItemSupports());
+  // the ranks [GroupBegin, GroupBegin + GroupSize). The groups come from
+  // the database's memoized support order, not a fresh sort.
+  const GroupedEmPool runs(db.ItemSupports(), db.ItemsBySupport());
   const double n = static_cast<double>(db.NumTransactions());
   const double theta_count = static_cast<double>(fk1_support);
   const double factor = epsilon / 2.0;  // GS_q = 1, standard EM exponent
@@ -37,25 +38,47 @@ uint32_t GetLambda(const TransactionDatabase& db, uint64_t fk1_support,
   return static_cast<uint32_t>(rank + 1);  // 1-based rank = λ
 }
 
-Result<std::vector<size_t>> GetFreqElements(
-    std::span<const uint64_t> candidate_supports, size_t count,
-    double epsilon, bool monotonic, Rng& rng) {
-  if (count > candidate_supports.size()) {
+namespace {
+
+/// GetFreqElements' draws from `pool`, which groups its candidates.
+Result<std::vector<size_t>> SelectFreqElements(GroupedEmPool pool,
+                                               size_t count, double epsilon,
+                                               bool monotonic, Rng& rng) {
+  if (count > pool.NumRemaining()) {
     return Status::InvalidArgument(
         "GetFreqElements: requested " + std::to_string(count) + " of " +
-        std::to_string(candidate_supports.size()) + " candidates");
+        std::to_string(pool.NumRemaining()) + " candidates");
   }
   if (count == 0) return std::vector<size_t>{};
-  if (candidate_supports.size() > UINT32_MAX) {
-    return Status::InvalidArgument(
-        "GetFreqElements: more than 2^32 - 1 candidates");
-  }
   // Per-round budget ε/count; quality = support (GS 1, monotone: adding a
   // transaction can only raise supports).
   const double per_round = epsilon / static_cast<double>(count);
   const double factor = per_round / (monotonic ? 1.0 : 2.0);
-  GroupedEmPool pool(candidate_supports);
   return pool.SelectK(rng, count, factor);
+}
+
+/// Step 2: the `count` items, drawn from a pool copied from the
+/// database's memoized support order — the draws GetFreqElements makes
+/// on db.ItemSupports(), without its sort.
+Result<std::vector<size_t>> GetFreqItems(const TransactionDatabase& db,
+                                         size_t count, double epsilon,
+                                         bool monotonic, Rng& rng) {
+  return SelectFreqElements(
+      GroupedEmPool(db.ItemSupports(), db.ItemsBySupport()), count, epsilon,
+      monotonic, rng);
+}
+
+}  // namespace
+
+Result<std::vector<size_t>> GetFreqElements(
+    std::span<const uint64_t> candidate_supports, size_t count,
+    double epsilon, bool monotonic, Rng& rng) {
+  if (candidate_supports.size() > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "GetFreqElements: more than 2^32 - 1 candidates");
+  }
+  return SelectFreqElements(GroupedEmPool(candidate_supports), count,
+                            epsilon, monotonic, rng);
 }
 
 std::vector<uint64_t> CountPairSupports(const TransactionDatabase& db,
@@ -168,8 +191,8 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
         accountant.Consume(options.alpha2 * epsilon, "GetFreqItems"));
     PRIVBASIS_ASSIGN_OR_RETURN(
         std::vector<size_t> picks,
-        GetFreqElements(db.ItemSupports(), lambda, options.alpha2 * epsilon,
-                        options.monotonic_em, rng));
+        GetFreqItems(db, lambda, options.alpha2 * epsilon,
+                     options.monotonic_em, rng));
     std::vector<Item> f;
     f.reserve(picks.size());
     for (size_t idx : picks) f.push_back(static_cast<Item>(idx));
@@ -198,8 +221,8 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
         accountant.Consume(beta1 * epsilon, "GetFreqItems"));
     PRIVBASIS_ASSIGN_OR_RETURN(
         std::vector<size_t> item_picks,
-        GetFreqElements(db.ItemSupports(), lambda, beta1 * epsilon,
-                        options.monotonic_em, rng));
+        GetFreqItems(db, lambda, beta1 * epsilon, options.monotonic_em,
+                     rng));
     std::vector<Item> f;
     f.reserve(item_picks.size());
     for (size_t idx : item_picks) f.push_back(static_cast<Item>(idx));

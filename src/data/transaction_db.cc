@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/math_util.h"
+
 namespace privbasis {
 
 void TransactionDatabase::Builder::AddTransaction(std::vector<Item> items) {
@@ -39,6 +41,7 @@ TransactionDatabase::TransactionDatabase(uint32_t universe_size,
       offsets_(std::move(offsets)) {
   item_supports_.assign(universe_size_, 0);
   for (Item it : items_) ++item_supports_[it];
+  items_by_support_ = DescendingOrder(item_supports_);
 }
 
 uint64_t TransactionDatabase::SupportOf(const Itemset& itemset) const {

@@ -66,6 +66,13 @@ class TransactionDatabase {
   /// Per-item absolute supports (counts), indexed by item id.
   const std::vector<uint64_t>& ItemSupports() const { return item_supports_; }
 
+  /// Item ids by descending support, ties by ascending id:
+  /// DescendingOrder(ItemSupports()), sorted once when the database is
+  /// built. The item exponential mechanisms group the supports from it.
+  const std::vector<uint32_t>& ItemsBySupport() const {
+    return items_by_support_;
+  }
+
   /// Frequency of a single item: support / N.
   double ItemFrequency(Item item) const {
     return static_cast<double>(item_supports_[item]) /
@@ -90,6 +97,7 @@ class TransactionDatabase {
   std::vector<Item> items_;
   std::vector<uint64_t> offsets_;
   std::vector<uint64_t> item_supports_;
+  std::vector<uint32_t> items_by_support_;
 };
 
 }  // namespace privbasis

@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/failpoint.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 
@@ -256,12 +257,80 @@ uint64_t VerticalIndex::SupportOfPair(Item a, Item b) const {
   return support;
 }
 
+Result<std::vector<std::vector<uint64_t>>> VerticalIndex::BitmapBasisBins(
+    std::span<const Itemset> bases, const CancelToken* cancel) const {
+  size_t max_len = 0;
+  for (const Itemset& basis : bases) {
+    assert(std::all_of(basis.begin(), basis.end(),
+                       [&](Item item) { return IsDense(item); }));
+    max_len = std::max(max_len, basis.size());
+  }
+  const size_t words = bitmap_words_;
+  // The all-transactions set. Its tail bits past N may stay set: every
+  // count below is a popcount of an AND with a bitmap, whose tail is
+  // clear, or a difference of two counts, so no tail bit reaches a bin.
+  const std::vector<uint64_t> all(words, ~uint64_t{0});
+  // Depth d of the split holds its "in" and "out" child sets in
+  // children[2d·words, (2d+2)·words).
+  std::vector<uint64_t> children(2 * max_len * words);
+  std::vector<const uint64_t*> item_bitmaps;
+  std::vector<std::vector<uint64_t>> bins(bases.size());
+  for (size_t i = 0; i < bases.size(); ++i) {
+    failpoint::Hit("basis_freq_chunk");
+    if (IsCancelled(cancel)) {
+      return Status::Cancelled("bitmap bin count cancelled");
+    }
+    const Itemset& basis = bases[i];
+    const size_t len = basis.size();
+    std::vector<uint64_t>& out = bins[i];
+    out.assign(uint64_t{1} << len, 0);
+    if (len == 0) {
+      out[0] = num_transactions_;
+      continue;
+    }
+    item_bitmaps.clear();
+    for (Item item : basis) item_bitmaps.push_back(Bitmap(dense_rank_[item]));
+    // `set` holds `count` transactions: those whose intersection with
+    // the basis's first `depth` items is exactly `mask`. Split it on
+    // item `depth`; at the last item the two halves are bins. An empty
+    // set leaves every bin below it 0.
+    auto split = [&](auto& self, size_t depth, const uint64_t* set,
+                     uint64_t count, uint64_t mask) -> void {
+      if (count == 0) return;
+      const uint64_t* bitmap = item_bitmaps[depth];
+      const uint64_t in_count = simd::AndPopcount(set, bitmap, words);
+      const uint64_t bit = uint64_t{1} << depth;
+      if (depth + 1 == len) {
+        out[mask | bit] = in_count;
+        out[mask] = count - in_count;
+        return;
+      }
+      uint64_t* in = children.data() + 2 * depth * words;
+      uint64_t* rest = in + words;
+      for (size_t w = 0; w < words; ++w) {
+        in[w] = set[w] & bitmap[w];
+        rest[w] = set[w] & ~bitmap[w];
+      }
+      self(self, depth + 1, in, in_count, mask | bit);
+      self(self, depth + 1, rest, count - in_count, mask);
+    };
+    split(split, 0, all.data(), num_transactions_, 0);
+  }
+  return bins;
+}
+
 void VerticalIndex::SupportOfMany(std::span<const Itemset> queries,
                                   std::span<uint64_t> out,
                                   size_t num_threads,
                                   const CancelToken* cancel) const {
   assert(out.size() >= queries.size());
-  const size_t threads = EffectiveThreads(num_threads);
+  // A batch under this many bitmap words of work (one ⌈N/64⌉-word pass
+  // per query) costs less than waking the pool: it runs on the caller.
+  constexpr uint64_t kMinParallelWords = uint64_t{1} << 16;
+  const uint64_t work =
+      uint64_t{queries.size()} * ((num_transactions_ + 63) / 64);
+  const size_t threads =
+      work < kMinParallelWords ? 1 : EffectiveThreads(num_threads);
   const size_t grain = std::max<size_t>(1, queries.size() / (threads * 8));
   // Cancellation granularity: one poll per kCancelChunk queries (each
   // query is a full tid-list intersection, so the chunk bounds the stop

@@ -9,7 +9,8 @@
 // fall back to the original galloping multi-way intersection. This is the
 // workhorse behind the TF baseline's rejection sampler and the
 // ground-truth verifier, where support queries arrive for itemsets no
-// miner enumerated.
+// miner enumerated, and behind DirectCountExecutor's bitmap pair and
+// BasisFreq bin counts.
 //
 // Construction is parallelized across transaction shards with
 // deterministic output (tid order never depends on the thread count).
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/status.h"
 #include "data/itemset.h"
 #include "data/transaction_db.h"
 
@@ -72,6 +74,19 @@ class VerticalIndex {
   std::vector<uint64_t> SupportOfMany(std::span<const Itemset> queries,
                                       size_t num_threads = 0,
                                       const CancelToken* cancel = nullptr) const;
+
+  /// BasisFreq's bin counts through the bitmaps: out[i][mask] = the
+  /// number of transactions whose intersection with bases[i] is exactly
+  /// the subset `mask` encodes (bit j = bases[i][j]), so out[i] has
+  /// 2^|bases[i]| entries summing to N — the counts CountBasisBins scans
+  /// for. Every basis item must be dense (IsDense). Each basis splits the
+  /// all-transactions set with AND / ANDNOT of its items' bitmaps, on the
+  /// calling thread, in ~2^|Bi| · ⌈N/64⌉ words. Per basis it hits the
+  /// "basis_freq_chunk" failpoint and then polls `cancel`; a fired token
+  /// returns kCancelled, never partial bins. Counting seam: only the
+  /// count executors call it.
+  Result<std::vector<std::vector<uint64_t>>> BitmapBasisBins(
+      std::span<const Itemset> bases, const CancelToken* cancel) const;
 
   /// The bitmap rule: an item whose support is at least this many
   /// transactions, out of `num_transactions`, gets a dense bitmap.

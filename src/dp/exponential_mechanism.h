@@ -29,6 +29,10 @@ namespace privbasis {
 class GroupedEmPool {
  public:
   explicit GroupedEmPool(std::span<const uint64_t> qualities);
+  /// The same pool from `order`, which must be DescendingOrder(qualities)
+  /// (common/math_util.h) — a memoized copy of it skips the sort.
+  GroupedEmPool(std::span<const uint64_t> qualities,
+                std::vector<uint32_t> order);
 
   size_t NumGroups() const { return groups_.size(); }
   size_t NumRemaining() const { return remaining_; }

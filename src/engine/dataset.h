@@ -87,7 +87,6 @@ class Dataset : public std::enable_shared_from_this<Dataset> {
   Dataset& operator=(const Dataset&) = delete;
 
   const TransactionDatabase& db() const { return *db_; }
-  const Options& options() const { return options_; }
 
   /// The privacy-budget ledger all queries on this dataset draw from.
   const std::shared_ptr<Accountant>& accountant() const {

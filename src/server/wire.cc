@@ -496,7 +496,6 @@ int HttpStatusForCode(StatusCode code) {
     case StatusCode::kOk:
       return 200;
     case StatusCode::kInvalidArgument:
-    case StatusCode::kOutOfRange:
       return 400;
     case StatusCode::kNotFound:
       return 404;

@@ -110,7 +110,7 @@ Status CheckKeys(const json::Value::Object& obj,
                  const char* what);
 
 /// The Status → HTTP mapping of the /v1 routes:
-///   kOk 200, kInvalidArgument/kOutOfRange 400, kNotFound 404,
+///   kOk 200, kInvalidArgument 400, kNotFound 404,
 ///   kFailedPrecondition 409, kBudgetExhausted 429 (the "payment
 ///   required" refusal — 402 semantics — spelled with the standard
 ///   too-many-requests code), kResourceExhausted 429, kIoError/kInternal

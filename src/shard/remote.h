@@ -44,8 +44,6 @@ class ShardWorkerClient {
  public:
   explicit ShardWorkerClient(WorkerAddr addr) : addr_(std::move(addr)) {}
 
-  const WorkerAddr& addr() const { return addr_; }
-
   /// Liveness probe (used at server start and by harnesses).
   Status Ping(int64_t timeout_ms);
 

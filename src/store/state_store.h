@@ -78,8 +78,6 @@ class StateStore {
   /// unlink). Idempotent; a failed manifest write keeps the dataset.
   Status PersistEviction(const std::string& id);
 
-  const std::string& dir() const { return dir_; }
-
  private:
   struct ManifestEntry {
     std::string id;

@@ -105,7 +105,6 @@ class BudgetWal {
 
   /// The replay performed by Open().
   const WalReplay& recovered() const { return replay_; }
-  FsyncMode fsync_mode() const { return mode_; }
 
   /// Appends + (per policy) syncs one record. AppendReserve assigns and
   /// returns the transaction id. Thread-safe; one WAL serves every

@@ -9,7 +9,9 @@
 #include <set>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace privbasis {
 namespace {
@@ -42,6 +44,7 @@ std::vector<uint32_t> ReferenceOrder(const std::vector<uint64_t>& qualities) {
 void ExpectMatchesReference(const std::vector<uint64_t>& qualities) {
   const GroupedEmPool probe(qualities);
   const std::vector<uint32_t> order = ReferenceOrder(qualities);
+  EXPECT_EQ(DescendingOrder(qualities), order);
   size_t group = 0;
   for (size_t begin = 0; begin < order.size(); ++group) {
     size_t end = begin;
@@ -103,6 +106,30 @@ TEST(GroupedEmPoolTest, GroupingMatchesComparisonSort) {
   }
   ExpectMatchesReference({UINT64_MAX, 0, UINT64_MAX, UINT64_MAX - 1, 1,
                           UINT64_MAX});
+}
+
+// A pool copied from the database's memoized support order groups and
+// draws exactly like one that sorts the supports itself.
+TEST(GroupedEmPoolTest, MemoizedItemOrderDrawsLikeAFreshPool) {
+  const TransactionDatabase db = testing::MakeRandomDb(
+      {.seed = 61, .num_transactions = 400, .universe = 300,
+       .item_prob = 0.6});
+  EXPECT_EQ(db.ItemsBySupport(), ReferenceOrder(db.ItemSupports()));
+  GroupedEmPool fresh(db.ItemSupports());
+  GroupedEmPool memoized(db.ItemSupports(), db.ItemsBySupport());
+  ASSERT_EQ(memoized.NumGroups(), fresh.NumGroups());
+  for (size_t g = 0; g < fresh.NumGroups(); ++g) {
+    EXPECT_EQ(memoized.GroupQuality(g), fresh.GroupQuality(g));
+    EXPECT_EQ(memoized.GroupBegin(g), fresh.GroupBegin(g));
+    EXPECT_EQ(memoized.GroupSize(g), fresh.GroupSize(g));
+  }
+  Rng fresh_rng(7), memoized_rng(7);
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<size_t> want,
+                                 fresh.SelectK(fresh_rng, 40, 0.05));
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<size_t> got,
+                                 memoized.SelectK(memoized_rng, 40, 0.05));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(memoized_rng.Next(), fresh_rng.Next());
 }
 
 TEST(GroupedEmPoolTest, TakeFromRemovesMember) {

@@ -13,12 +13,19 @@
 //     stream cannot shift).
 //   * Cancellation fails closed: a fired token surfaces kCancelled from
 //     the executor, never a partial count.
+//   * DirectCountExecutor's bitmap bin path — taken when every basis
+//     item has a bitmap and the bitmaps are the smaller pass — counts
+//     the bit-identical bins of the scan.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/basis_freq.h"
+#include "core/batch_exec.h"
 #include "core/count_exec.h"
 #include "core/privbasis.h"
 #include "data/vertical_index.h"
@@ -130,6 +137,147 @@ TEST(ShardExecTest, BasisBinCountsMergeExactly) {
                                    exec.BasisBinCounts(basis_set, nullptr));
     EXPECT_EQ(merged, expected) << num_shards << " shards";
   }
+}
+
+/// A DirectCountExecutor over `db` (which must outlive it) with a
+/// default-Options index, counting how often it fetches the index: the
+/// bin count fetches it only for the bitmap path.
+DirectCountExecutor IndexedExecutor(const TransactionDatabase& db,
+                                    std::atomic<int>* fetches) {
+  auto index = std::make_shared<const VerticalIndex>(db);
+  return DirectCountExecutor(
+      std::shared_ptr<const TransactionDatabase>(&db, [](const auto*) {}),
+      [index, fetches] {
+        ++*fetches;
+        return index;
+      });
+}
+
+BasisSet MakeBasisSet(const std::vector<std::vector<Item>>& bases) {
+  BasisSet basis_set;
+  for (const std::vector<Item>& basis : bases) basis_set.Add(Itemset(basis));
+  return basis_set;
+}
+
+/// Expects the executor's bins for `basis_set` to equal the scan's bit
+/// for bit, and to have come through the bitmaps iff `bitmap_path`.
+void ExpectBinsMatchScan(const TransactionDatabase& db,
+                         const BasisSet& basis_set, bool bitmap_path) {
+  std::atomic<int> fetches{0};
+  const DirectCountExecutor exec = IndexedExecutor(db, &fetches);
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(
+      std::vector<std::vector<uint64_t>> want,
+      CountBasisBins(db, basis_set, /*num_threads=*/1));
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
+                                 exec.BasisBinCounts(basis_set, nullptr));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(fetches.load() > 0, bitmap_path);
+  for (const std::vector<uint64_t>& bins : got) {
+    uint64_t total = 0;
+    for (uint64_t count : bins) total += count;
+    EXPECT_EQ(total, db.NumTransactions());
+  }
+}
+
+TEST(DirectBasisBinsTest, BitmapPathMatchesScanWhenNIsNotAMultipleOf64) {
+  const TransactionDatabase db = MakeRandomDb(
+      {.seed = 41, .num_transactions = 1000, .universe = 12,
+       .item_prob = 0.5});
+  ASSERT_NE(db.NumTransactions() % 64, 0u);
+  ExpectBinsMatchScan(db, MakeBasisSet({{0, 1, 2}, {1, 3, 5, 7}, {4}}),
+                      /*bitmap_path=*/true);
+}
+
+TEST(DirectBasisBinsTest, BitmapPathCountsLengthOneBasis) {
+  const TransactionDatabase db = MakeRandomDb(
+      {.seed = 43, .num_transactions = 300, .universe = 8,
+       .item_prob = 0.5});
+  ExpectBinsMatchScan(db, MakeBasisSet({{3}}), /*bitmap_path=*/true);
+}
+
+// Items 0 and 1 never share a transaction, nor do 2 and 3: whole
+// branches of the split are empty.
+TEST(DirectBasisBinsTest, BitmapPathCountsItemsThatNeverCoOccur) {
+  std::vector<std::vector<Item>> txns;
+  for (Item t = 0; t < 130; ++t) {
+    txns.push_back(t % 2 == 0 ? std::vector<Item>{0, 2}
+                              : std::vector<Item>{1, 3});
+  }
+  const TransactionDatabase db = MakeDb(txns);
+  ExpectBinsMatchScan(db, MakeBasisSet({{0, 1}, {2, 3}, {0, 1, 2, 3}}),
+                      /*bitmap_path=*/true);
+}
+
+// Item 12 sits in 5 of 1000 transactions, under the 1/64 bitmap rule:
+// the basis set scans, and the index is never fetched.
+TEST(DirectBasisBinsTest, SetWithASparseItemScans) {
+  const TransactionDatabase random = MakeRandomDb(
+      {.seed = 47, .num_transactions = 1000, .universe = 12,
+       .item_prob = 0.5});
+  std::vector<std::vector<Item>> txns;
+  for (size_t t = 0; t < random.NumTransactions(); ++t) {
+    const auto txn = random.Transaction(t);
+    txns.emplace_back(txn.begin(), txn.end());
+    if (t % 200 == 0) txns.back().push_back(12);
+  }
+  const TransactionDatabase db = MakeDb(txns);
+  ASSERT_LT(db.ItemSupports()[12],
+            VerticalIndex::MinDenseSupport(db.NumTransactions()));
+  ExpectBinsMatchScan(db, MakeBasisSet({{0, 1, 2}, {3, 12}}),
+                      /*bitmap_path=*/false);
+  ExpectBinsMatchScan(db, MakeBasisSet({{0, 1, 2}, {3, 4}}),
+                      /*bitmap_path=*/true);
+}
+
+// Two batched members' basis sets fuse into one inner bin count, which
+// takes the bitmap path; each member reads back exactly its own bins.
+TEST(DirectBasisBinsTest, FusedBatchTakesBitmapPathAndSplitsExactly) {
+  const TransactionDatabase db = MakeRandomDb(
+      {.seed = 53, .num_transactions = 1000, .universe = 12,
+       .item_prob = 0.5});
+  std::atomic<int> fetches{0};
+  auto stats = std::make_shared<BatchStats>();
+  BatchingCountExecutor batching(
+      std::make_shared<const DirectCountExecutor>(
+          IndexedExecutor(db, &fetches)),
+      {.window_us = 10'000'000, .max_batch = 2}, stats);
+  const BasisSet sets[2] = {MakeBasisSet({{0, 1, 2}, {4, 5}}),
+                            MakeBasisSet({{1, 3}, {2, 6, 7}, {8}})};
+  std::optional<Result<std::vector<std::vector<uint64_t>>>> got[2];
+  batching.BeginQuery();
+  batching.BeginQuery();
+  std::vector<std::thread> members;
+  for (int m = 0; m < 2; ++m) {
+    members.emplace_back(
+        [&, m] { got[m].emplace(batching.BasisBinCounts(sets[m], nullptr)); });
+  }
+  for (std::thread& member : members) member.join();
+  batching.EndQuery();
+  batching.EndQuery();
+  EXPECT_EQ(stats->batches.load(), 1u);
+  EXPECT_EQ(fetches.load(), 1);
+  for (int m = 0; m < 2; ++m) {
+    ASSERT_TRUE(got[m]->ok()) << got[m]->status();
+    PRIVBASIS_ASSERT_OK_AND_ASSIGN(
+        std::vector<std::vector<uint64_t>> want,
+        CountBasisBins(db, sets[m], /*num_threads=*/1));
+    EXPECT_EQ(**got[m], want) << "member " << m;
+  }
+}
+
+TEST(DirectBasisBinsTest, BitmapPathFiredTokenFailsClosed) {
+  const TransactionDatabase db = MakeRandomDb(
+      {.seed = 59, .num_transactions = 1000, .universe = 12,
+       .item_prob = 0.5});
+  std::atomic<int> fetches{0};
+  const DirectCountExecutor exec = IndexedExecutor(db, &fetches);
+  CancelToken token;
+  token.Cancel();
+  EXPECT_EQ(exec.BasisBinCounts(MakeBasisSet({{0, 1, 2}, {3, 4}}), &token)
+                .status()
+                .code(),
+            StatusCode::kCancelled);
+  EXPECT_EQ(fetches.load(), 1);
 }
 
 // Batch supports merge exactly for candidates surfaced by EVERY exact

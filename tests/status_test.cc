@@ -72,7 +72,7 @@ TEST(ResultTest, ArrowOperator) {
   EXPECT_EQ(r->size(), 3u);
 }
 
-Status FailingFn() { return Status(StatusCode::kOutOfRange, "boom"); }
+Status FailingFn() { return Status(StatusCode::kNotFound, "boom"); }
 
 Status PropagatesWithMacro() {
   PRIVBASIS_RETURN_NOT_OK(FailingFn());
@@ -80,7 +80,7 @@ Status PropagatesWithMacro() {
 }
 
 TEST(ResultTest, ReturnNotOkMacro) {
-  EXPECT_EQ(PropagatesWithMacro().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(PropagatesWithMacro().code(), StatusCode::kNotFound);
 }
 
 Result<int> ProducesInt(bool fail) {

@@ -35,9 +35,11 @@ dependency) so CI fails when a refactor quietly violates one:
 
   count-seam          Every exact count a mechanism reads goes through a
                       CountExecutor (src/core/count_exec.h). In src/, the
-                      raw scans CountPairSupports( and CountBasisBins( may
-                      be called only by the executors — core/batch_exec.cc
-                      and src/shard/ — besides their own definitions. A
+                      raw counters CountPairSupports(, CountBasisBins( and
+                      the VerticalIndex bitmap bin counter
+                      BitmapBasisBins( may be called only by the
+                      executors — core/batch_exec.cc and src/shard/ —
+                      besides their own declarations and definitions. A
                       direct call elsewhere is a second counting path
                       that the sharded, served, batched and subsampled
                       queries do not share.
@@ -55,9 +57,12 @@ dependency) so CI fails when a refactor quietly violates one:
                       is named somewhere in src/, tools/, bench/,
                       examples/ or perfbench/ besides its own declaration
                       and definition (a call in its own .cc counts;
-                      recursion and tests/ do not). Library code that
-                      only a test reaches is deleted, or moved under
-                      tests/ when a test compares against it.
+                      recursion and tests/ do not). A method is named
+                      only by a call `name(` or a qualified `::name`, so
+                      a field or variable that shares its name does not
+                      count. Library code that only a test reaches is
+                      deleted, or moved under tests/ when a test compares
+                      against it.
 
 False positives are suppressed in tools/privacy_lint_suppressions.txt,
 one `rule path-substring` pair per line; a test-only-api entry names one
@@ -86,12 +91,14 @@ PRIVACY_BLIND_DIRS = (
 
 WIRE_TOKEN = re.compile(r"\bshardwire::")
 
-RAW_COUNT_CALL = re.compile(r"\b(CountPairSupports|CountBasisBins)\s*\(")
+RAW_COUNTERS = r"(CountPairSupports|CountBasisBins|BitmapBasisBins)"
+RAW_COUNT_CALL = re.compile(rf"\b{RAW_COUNTERS}\s*\(")
 COUNT_SEAM_ALLOWED = ("src/core/batch_exec.cc", "src/shard/")
-# A definition: the name follows its return type (`std::vector<uint64_t>`
-# or `Result<...>`), i.e. a `>` then whitespace.
+# A declaration or definition: the name, maybe `Class::`-qualified,
+# follows its return type (`std::vector<uint64_t>` or `Result<...>`),
+# i.e. a `>` that does not end a `->` member access.
 RAW_COUNT_DEFINITION = re.compile(
-    r">\s*(CountPairSupports|CountBasisBins)\s*\($")
+    rf"(?<!-)>\s*(?:\w+::)?{RAW_COUNTERS}\s*\($")
 
 LEASE_BIND = re.compile(r"\bBudgetLease\s+(\w+)\s*[,;)]")
 LEASE_RESOLVED = (
@@ -119,6 +126,8 @@ NOT_A_FUNCTION = frozenset((
     "switch", "template", "throw", "unsigned", "void", "while"))
 TOKEN = re.compile(r"[A-Za-z_]\w*|[{};]")
 CALL_NAME = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+CALL_OR_QUALIFIED = re.compile(
+    r"(?<=::)\s*([A-Za-z_]\w*)|\b([A-Za-z_]\w*)(?=\s*\()")
 TYPE_BEFORE = re.compile(r"(?:[\w>*&]|::)\s*$")
 # The text before a `{` that opens a namespace or a class body, whose
 # members are declarations; any other brace opens statements or data.
@@ -328,16 +337,19 @@ def check_failpoint_manifest(root, rel_paths):
 def scan_names(code):
     """Function declarations and name uses in one stripped source file.
 
-    Returns (declarations, uses). A declaration is `name(` at namespace or
-    class scope after a type or `Class::`, outside parentheses and before
-    any `=`: a function declared or defined there, as (name, qualified
-    name, line). Every other mention of an identifier is a use, counted
-    in the `uses` Counter, except a call inside the function's own body.
-    Macro bodies count as uses.
+    Returns (declarations, uses, calls). A declaration is `name(` at
+    namespace or class scope after a type or `Class::`, outside
+    parentheses and before any `=`: a function declared or defined
+    there, as (name, qualified name, line). Every other mention of an
+    identifier is a use, counted in the `uses` Counter, except a call
+    inside the function's own body; `calls` counts the uses in call
+    (`name(`) or qualified (`::name`) form. Macro bodies count as uses.
     """
     uses = collections.Counter()
+    calls = collections.Counter()
     for directive in PREPROCESSOR.findall(code):
         uses.update(re.findall(r"[A-Za-z_]\w*", directive))
+        calls.update(CALL_OR_QUALIFIED.findall(directive))
     code = PREPROCESSOR.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), code)
     declarations = []
     scopes = []  # (kind, owner): "ns"/None, "class"/class, "body"/function
@@ -365,9 +377,12 @@ def scan_names(code):
             continue
         kind, owner = scopes[-1] if scopes else ("ns", None)
         before = code[head_start:match.start()]
+        called = (re.match(r"\s*\(", code[match.end():]) is not None or
+                  re.search(r"::\s*$", before) is not None)
         if kind == "body":
             if token != owner:
                 uses[token] += 1
+                calls[token] += called
         elif (re.match(r"\s*\(", code[match.end():]) and
               TYPE_BEFORE.search(before) and "=" not in before and
               before.count("(") == before.count(")") and
@@ -379,12 +394,14 @@ def scan_names(code):
                                  line_of(code, match.start())))
         else:
             uses[token] += 1
-    return declarations, uses
+            calls[token] += called
+    return declarations, uses, calls
 
 
 def check_test_only_api(root):
     """Header functions that nothing outside tests/ names (test-only-api)."""
     uses = collections.Counter()
+    calls = collections.Counter()
     header_declarations = []
     for sub in PRODUCT_DIRS:
         for dirpath, _, names in os.walk(os.path.join(root, sub)):
@@ -394,14 +411,18 @@ def check_test_only_api(root):
                 full = os.path.join(dirpath, name)
                 path = os.path.relpath(full, root).replace(os.sep, "/")
                 raw = open(full, encoding="utf-8", errors="replace").read()
-                declarations, file_uses = scan_names(strip_code(raw))
+                declarations, file_uses, file_calls = scan_names(
+                    strip_code(raw))
                 uses.update(file_uses)
+                calls.update(file_calls)
                 if path.startswith("src/") and path.endswith(".h"):
                     header_declarations.extend(
                         (path, decl) for decl in declarations)
     findings = []
     for path, (token, qualified, line) in header_declarations:
-        if not uses[token]:
+        # A method is used only where it is called or named `Class::m`:
+        # a field or local sharing its bare name is not a use.
+        if not (calls if "::" in qualified else uses)[token]:
             findings.append(Finding(
                 "test-only-api", path, line,
                 f"only tests call `{qualified}`: delete it, move it "
@@ -477,13 +498,14 @@ def lint_tree(root, verbose=False):
     return kept
 
 
-SELF_TEST_CASES = {
-    "noise-containment": (
+# (rule, path, seeded violation) triples; every one must fire its rule.
+SELF_TEST_CASES = (
+    ("noise-containment",
         "src/shard/evil.cc",
         "namespace privbasis {\n"
         "void Leak() { Rng rng(7); (void)SampleLaplace(rng, 1.0); }\n"
         "}\n"),
-    "lease-resolution": (
+    ("lease-resolution",
         "src/engine/evil.cc",
         "namespace privbasis {\n"
         "Status Spend(Accountant& a) {\n"
@@ -491,7 +513,7 @@ SELF_TEST_CASES = {
         "  return Status::OK();\n"
         "}\n"
         "}\n"),
-    "wire-after-noise": (
+    ("wire-after-noise",
         "src/core/evil.cc",
         "namespace privbasis {\n"
         "void Ship(Rng& rng) {\n"
@@ -499,7 +521,7 @@ SELF_TEST_CASES = {
         "  shardwire::WriteFrame(noised);\n"
         "}\n"
         "}\n"),
-    "count-seam": (
+    ("count-seam",
         "src/core/evil.cc",
         "namespace privbasis {\n"
         "std::vector<uint64_t> CountPairSupports(const Db& db,\n"
@@ -509,19 +531,29 @@ SELF_TEST_CASES = {
         "  return Status::OK();\n"
         "}\n"
         "}\n"),
-}
+    # The bitmap bin counter, reached through a `->` (whose `>` must not
+    # read as the end of a return type).
+    ("count-seam",
+     "src/core/evil.cc",
+     "namespace privbasis {\n"
+     "Status Step5(const Index* index, const BasisSet& b) {\n"
+     "  auto bins = index->BitmapBasisBins(b.bases(), nullptr);\n"
+     "  return Status::OK();\n"
+     "}\n"
+     "}\n"),
+)
 
 
 def self_test(root):
     failures = []
-    for rule_name, (path, snippet) in SELF_TEST_CASES.items():
+    for rule_name, path, snippet in SELF_TEST_CASES:
         code = strip_code(snippet)
         hits = []
         for rule in FILE_RULES:
             hits.extend(rule(path, code, snippet))
         if not any(f.rule == rule_name for f in hits):
             failures.append(f"rule `{rule_name}` did not fire on its "
-                            f"seeded violation")
+                            f"seeded violation in {path}")
     # failpoint-manifest: a reference to an unregistered site must be
     # caught. Simulate by asking for sites over a synthetic file list.
     import tempfile
@@ -540,12 +572,22 @@ def self_test(root):
             failures.append("rule `failpoint-manifest` did not flag an "
                             "unregistered site")
     # test-only-api: a header function only a test (and its own
-    # recursion) calls must be caught; one a tool calls must not.
+    # recursion) calls must be caught; one a tool calls must not. A
+    # method that a tool never calls is caught even where a field of
+    # the same name is read.
     with tempfile.TemporaryDirectory() as tmp:
         files = {
             "src/evil.h": "namespace privbasis {\n"
                           "int OnlyTests(int n);\n"
                           "int Used();\n"
+                          "struct Stats { int count = 0; };\n"
+                          "class Runner {\n"
+                          " public:\n"
+                          "  int count() const { return count_; }\n"
+                          "  int size() const { return count_; }\n"
+                          " private:\n"
+                          "  int count_ = 0;\n"
+                          "};\n"
                           "}\n",
             "src/evil.cc": "namespace privbasis {\n"
                            "int OnlyTests(int n) {\n"
@@ -553,8 +595,14 @@ def self_test(root):
                            "}\n"
                            "int Used() { return 1; }\n"
                            "}\n",
-            "tools/main.cc": "int main() { return privbasis::Used(); }\n",
-            "tests/evil_test.cc": "int x = privbasis::OnlyTests(3);\n",
+            "tools/main.cc": "int main() {\n"
+                             "  privbasis::Stats stats;\n"
+                             "  privbasis::Runner runner;\n"
+                             "  return privbasis::Used() + stats.count +\n"
+                             "         runner.size();\n"
+                             "}\n",
+            "tests/evil_test.cc": "int x = privbasis::OnlyTests(3);\n"
+                                  "int y = privbasis::Runner().count();\n",
         }
         for rel, text in files.items():
             os.makedirs(os.path.join(tmp, os.path.dirname(rel)),
@@ -562,9 +610,10 @@ def self_test(root):
             with open(os.path.join(tmp, rel), "w", encoding="utf-8") as fh:
                 fh.write(text)
         flagged = {f.symbol for f in check_test_only_api(tmp)}
-        if flagged != {"OnlyTests"}:
+        if flagged != {"OnlyTests", "Runner::count"}:
             failures.append("rule `test-only-api` flagged "
-                            f"{sorted(flagged)}, want ['OnlyTests']")
+                            f"{sorted(flagged)}, want ['OnlyTests', "
+                            "'Runner::count']")
     # And the real tree must be clean, or CI green means nothing.
     real = lint_tree(root)
     if failures:
@@ -577,8 +626,9 @@ def self_test(root):
         for finding in real:
             print(f"  {finding}", file=sys.stderr)
         return 2
-    print(f"privacy_lint self-test: all {len(SELF_TEST_CASES) + 2} rules "
-          "fire on seeded violations; tree clean")
+    rules = {rule for rule, _, _ in SELF_TEST_CASES}
+    print(f"privacy_lint self-test: all {len(rules) + 2} rules fire on "
+          f"{len(SELF_TEST_CASES) + 2} seeded violations; tree clean")
     return 0
 
 
